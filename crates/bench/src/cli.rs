@@ -1,5 +1,5 @@
 //! Minimal argument-parsing helpers shared by the workspace's binaries
-//! (`repro`, `bro-tool`, and `bro-bench`).
+//! (`repro` and `bro_tool`).
 //!
 //! The binaries hand-roll their flag loops (the workspace deliberately
 //! carries no argument-parsing dependency); these helpers centralize the
@@ -47,8 +47,7 @@ pub fn install_threads(threads: usize) {
         .unwrap_or_else(|e| die(&format!("--threads: could not configure thread pool: {e}")));
 }
 
-/// The effective worker-thread count after [`install_threads`] (for
-/// banners and benchmark metadata).
+/// The effective worker-thread count after [`install_threads`] (for banners).
 pub fn effective_threads() -> usize {
     rayon::current_num_threads()
 }

@@ -13,8 +13,6 @@ pub mod cli;
 pub mod context;
 pub mod experiments;
 pub mod table;
-pub mod traces;
-pub mod wallclock;
 
 pub use context::ExpContext;
 pub use table::TextTable;

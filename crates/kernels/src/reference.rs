@@ -7,11 +7,6 @@ pub fn csr_spmv<T: Scalar>(csr: &CsrMatrix<T>, x: &[T]) -> Vec<T> {
     csr.spmv(x).expect("shape mismatch in reference SpMV")
 }
 
-/// Multithreaded CSR SpMV on the host (rayon), for large references.
-pub fn csr_par_spmv<T: Scalar>(csr: &CsrMatrix<T>, x: &[T]) -> Vec<T> {
-    csr.par_spmv(x).expect("shape mismatch in reference SpMV")
-}
-
 /// Reference straight from COO.
 pub fn coo_reference<T: Scalar>(coo: &CooMatrix<T>, x: &[T]) -> Vec<T> {
     coo.spmv_reference(x).expect("shape mismatch in reference SpMV")
@@ -27,9 +22,7 @@ mod tests {
         let csr = CsrMatrix::from_coo(&coo);
         let x: Vec<f64> = (0..64).map(|i| (i as f64).cos()).collect();
         let a = csr_spmv(&csr, &x);
-        let b = csr_par_spmv(&csr, &x);
         let c = coo_reference(&coo, &x);
-        assert_eq!(a, b);
         assert_eq!(a, c);
     }
 }

@@ -13,6 +13,12 @@ use crate::coo::CooMatrix;
 use crate::error::MatrixError;
 use crate::scalar::Scalar;
 
+/// Upper bound on the entries pre-allocated from the size line's `nnz`.
+/// The header is untrusted: a crafted count must not make the reader
+/// request memory the file cannot back. Larger matrices still load, and
+/// their vectors grow as entries are actually read.
+const PREALLOC_CAP: usize = 1 << 20;
+
 /// Parses a MatrixMarket stream into a COO matrix.
 ///
 /// Symmetric matrices are expanded (mirror entries added for off-diagonal
@@ -101,9 +107,10 @@ pub fn read_matrix_market<T: Scalar, R: Read>(reader: R) -> Result<CooMatrix<T>,
     }
     let (rows, cols, nnz) = (dims[0], dims[1], dims[2]);
 
-    let mut ri = Vec::with_capacity(nnz);
-    let mut ci = Vec::with_capacity(nnz);
-    let mut vals: Vec<T> = Vec::with_capacity(nnz);
+    let cap = nnz.min(PREALLOC_CAP);
+    let mut ri = Vec::with_capacity(cap);
+    let mut ci = Vec::with_capacity(cap);
+    let mut vals: Vec<T> = Vec::with_capacity(cap);
     let mut seen = 0usize;
     for (i, line) in lines {
         let line = line?;
@@ -246,6 +253,13 @@ mod tests {
     fn rejects_entry_count_mismatch() {
         let src = "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n";
         assert!(read_matrix_market::<f64, _>(src.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn huge_header_nnz_is_an_error_not_an_abort() {
+        let src = "%%MatrixMarket matrix coordinate real general\n3 3 99999999999999999\n";
+        let err = read_matrix_market::<f64, _>(src.as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("expected 99999999999999999 entries, found 0"));
     }
 
     #[test]

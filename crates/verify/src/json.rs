@@ -302,11 +302,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash in one go.
+                // Both are ASCII, so the run ends on a char boundary, and
+                // each byte is validated once.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |n| *pos + n);
+                out.push_str(std::str::from_utf8(&bytes[*pos..end]).map_err(|e| e.to_string())?);
+                *pos = end;
             }
         }
     }
@@ -386,6 +390,14 @@ mod tests {
     #[test]
     fn strings_escape_and_unescape() {
         let doc = Json::Str("quote \" slash \\ newline \n tab \t ctrl \u{1} ok".into());
+        assert_eq!(Json::parse(&doc.to_pretty()).unwrap(), doc);
+    }
+
+    #[test]
+    fn multibyte_utf8_next_to_escapes_round_trips() {
+        let text = r#""éé\"ü\n日本\u0041ß\\😀""#;
+        assert_eq!(Json::parse(text).unwrap(), Json::Str("éé\"ü\n日本Aß\\😀".into()));
+        let doc = Json::Str("é\"ü\\日\n😀\u{1}ß".into());
         assert_eq!(Json::parse(&doc.to_pretty()).unwrap(), doc);
     }
 

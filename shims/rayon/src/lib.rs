@@ -131,17 +131,35 @@ fn run_map<T: Send, R: Send>(items: Vec<T>, f: &(impl Fn(T) -> R + Sync)) -> Vec
     }
     chunks.push(items);
     chunks.reverse();
-    let mut slots: Vec<Option<Vec<R>>> = (0..chunks.len()).map(|_| None).collect();
-    std::thread::scope(|s| {
-        for (slot, chunk_items) in slots.iter_mut().zip(chunks) {
-            s.spawn(move || {
-                *slot = Some(chunk_items.into_iter().map(f).collect());
-            });
-        }
+    let parts = std::thread::scope(|s| {
+        let handles: Vec<_> = chunks
+            .into_iter()
+            .map(|chunk_items| s.spawn(move || chunk_items.into_iter().map(f).collect::<Vec<R>>()))
+            .collect();
+        join_all(handles)
     });
     let mut out = Vec::with_capacity(n);
-    for slot in slots {
-        out.extend(slot.expect("worker thread completed"));
+    out.extend(parts.into_iter().flatten());
+    out
+}
+
+/// Joins every worker in spawn order, then re-raises the first worker panic
+/// with its original payload, as real rayon does. Left to itself,
+/// `std::thread::scope` would replace that payload with "a scoped thread
+/// panicked".
+fn join_all<R>(handles: Vec<std::thread::ScopedJoinHandle<'_, R>>) -> Vec<R> {
+    let mut out = Vec::with_capacity(handles.len());
+    let mut panic = None;
+    for handle in handles {
+        match handle.join() {
+            Ok(r) => out.push(r),
+            Err(payload) => {
+                panic.get_or_insert(payload);
+            }
+        }
+    }
+    if let Some(payload) = panic {
+        std::panic::resume_unwind(payload);
     }
     out
 }
@@ -253,14 +271,20 @@ impl<T: Send> ParIterMutEnumerate<'_, T> {
         }
         let chunk = n.div_ceil(threads);
         std::thread::scope(|s| {
-            for (ci, chunk_items) in self.items.chunks_mut(chunk).enumerate() {
-                let f = &f;
-                s.spawn(move || {
-                    for (i, t) in chunk_items.iter_mut().enumerate() {
-                        f((ci * chunk + i, t));
-                    }
-                });
-            }
+            let f = &f;
+            let handles: Vec<_> = self
+                .items
+                .chunks_mut(chunk)
+                .enumerate()
+                .map(|(ci, chunk_items)| {
+                    s.spawn(move || {
+                        for (i, t) in chunk_items.iter_mut().enumerate() {
+                            f((ci * chunk + i, t));
+                        }
+                    })
+                })
+                .collect();
+            join_all(handles);
         });
     }
 }
@@ -301,6 +325,25 @@ mod tests {
     fn empty_input() {
         let v: Vec<usize> = (0..0).into_par_iter().map(|i| i).collect();
         assert!(v.is_empty());
+    }
+
+    #[test]
+    fn worker_panic_payload_reaches_caller() {
+        fn message(payload: Box<dyn std::any::Any + Send>) -> String {
+            payload.downcast::<String>().map(|m| *m).expect("panic message is a String")
+        }
+        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        let mapped = std::panic::catch_unwind(|| {
+            pool.install(|| (0..64).into_par_iter().for_each(|i| assert!(i != 40, "map {i}")))
+        });
+        assert_eq!(message(mapped.unwrap_err()), "map 40");
+        let mut v = vec![0usize; 64];
+        let mutated = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.install(|| {
+                v.par_iter_mut().enumerate().for_each(|(i, _)| assert!(i != 50, "mut {i}"))
+            })
+        }));
+        assert_eq!(message(mutated.unwrap_err()), "mut 50");
     }
 
     #[test]
