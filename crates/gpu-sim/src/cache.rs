@@ -6,16 +6,21 @@
 /// Only tags are tracked — the simulator never stores data in the cache; the
 /// kernel reads actual values from host memory and the cache decides whether
 /// the access produces DRAM traffic.
+///
+/// Each set keeps its tags in recency order, most recently used first, so a
+/// hit moves its way to the front and a miss drops the last way. This holds
+/// exactly the lines a per-way timestamp LRU would hold after every access.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     sets: usize,
     assoc: usize,
-    line_bytes: u64,
-    /// `sets * assoc` tags; `u64::MAX` marks an empty way.
+    line_shift: u32,
+    /// Lemire's fast-mod multiplier `⌊2⁶⁴ / sets⌋ + 1` (wrapping), exact for
+    /// line numbers below 2³².
+    set_magic: u64,
+    /// `sets * assoc` tags, each set ordered MRU → LRU; `u64::MAX` marks an
+    /// empty way (empty ways always sit behind the filled ones).
     tags: Vec<u64>,
-    /// Per-way last-use stamps for LRU.
-    stamps: Vec<u64>,
-    clock: u64,
     hits: u64,
     misses: u64,
 }
@@ -32,13 +37,13 @@ impl SetAssocCache {
         } else {
             ((capacity_bytes / line_bytes).max(assoc) / assoc).max(1)
         };
+        let sets32 = u32::try_from(sets).expect("a cache has at most 2^32 sets");
         SetAssocCache {
             sets,
             assoc,
-            line_bytes: line_bytes as u64,
+            line_shift: line_bytes.trailing_zeros(),
+            set_magic: (u64::MAX / u64::from(sets32.max(1))).wrapping_add(1),
             tags: vec![u64::MAX; sets * assoc],
-            stamps: vec![0; sets * assoc],
-            clock: 0,
             hits: 0,
             misses: 0,
         }
@@ -46,7 +51,7 @@ impl SetAssocCache {
 
     /// Line size in bytes.
     pub fn line_bytes(&self) -> u64 {
-        self.line_bytes
+        1 << self.line_shift
     }
 
     /// Number of sets.
@@ -56,34 +61,42 @@ impl SetAssocCache {
 
     /// Total capacity in bytes.
     pub fn capacity_bytes(&self) -> usize {
-        self.sets * self.assoc * self.line_bytes as usize
+        (self.sets * self.assoc) << self.line_shift
+    }
+
+    /// `line % sets`; `sets` is not a power of two on real devices (384 on
+    /// the K20), so the common case avoids the division.
+    #[inline]
+    fn set_of(&self, line: u64) -> usize {
+        if line >> 32 == 0 {
+            let low = self.set_magic.wrapping_mul(line);
+            ((u128::from(low) * self.sets as u128) >> 64) as usize
+        } else {
+            (line % self.sets as u64) as usize
+        }
     }
 
     /// Accesses the byte address; returns `true` on hit. A miss installs the
     /// line, evicting the LRU way of its set.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
-        self.clock += 1;
         if self.sets == 0 {
             self.misses += 1;
             return false;
         }
-        let line = addr / self.line_bytes;
-        let set = (line % self.sets as u64) as usize;
+        let line = addr >> self.line_shift;
+        let set = self.set_of(line);
         let ways = &mut self.tags[set * self.assoc..(set + 1) * self.assoc];
-        let stamps = &mut self.stamps[set * self.assoc..(set + 1) * self.assoc];
-        for (w, tag) in ways.iter().enumerate() {
-            if *tag == line {
-                stamps[w] = self.clock;
-                self.hits += 1;
-                return true;
-            }
+        if let Some(k) = ways.iter().position(|&tag| tag == line) {
+            ways[..=k].rotate_right(1);
+            self.hits += 1;
+            true
+        } else {
+            ways.rotate_right(1);
+            ways[0] = line;
+            self.misses += 1;
+            false
         }
-        // Miss: evict LRU (empty ways have stamp 0, so they fill first).
-        let lru = (0..self.assoc).min_by_key(|&w| stamps[w]).expect("assoc >= 1");
-        ways[lru] = line;
-        stamps[lru] = self.clock;
-        self.misses += 1;
-        false
     }
 
     /// Number of hits so far.
@@ -109,8 +122,6 @@ impl SetAssocCache {
     /// Invalidates all lines and resets statistics.
     pub fn reset(&mut self) {
         self.tags.fill(u64::MAX);
-        self.stamps.fill(0);
-        self.clock = 0;
         self.hits = 0;
         self.misses = 0;
     }
@@ -191,6 +202,25 @@ mod tests {
     fn tiny_capacity_clamped() {
         let c = SetAssocCache::new(16, 32, 4);
         assert!(c.capacity_bytes() >= 4 * 32);
+    }
+
+    #[test]
+    fn set_index_is_line_mod_sets() {
+        // 96 and 384 sets are the C2070 and K20 geometries.
+        for sets in [1usize, 2, 3, 96, 384, 1000, 65_537] {
+            let c = SetAssocCache::new(sets * 32, 32, 1);
+            assert_eq!(c.sets(), sets);
+            let edges =
+                [0, 1, 95, 383, u32::MAX as u64 - 1, u32::MAX as u64, 1 << 32, u64::MAX >> 5];
+            let spread = (0..2000u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 31);
+            for line in edges.into_iter().chain(spread) {
+                assert_eq!(
+                    c.set_of(line),
+                    (line % sets as u64) as usize,
+                    "line {line}, {sets} sets"
+                );
+            }
+        }
     }
 
     #[test]

@@ -288,6 +288,7 @@ impl DeviceSim {
                     self.profile.tex_assoc,
                 );
                 let mut stats = LaunchStats::default();
+                let mut seg_scratch = Vec::with_capacity(warp * 2);
                 let mut outs = Vec::new();
                 let mut block = sm;
                 while block < blocks {
@@ -296,10 +297,11 @@ impl DeviceSim {
                         threads: threads_per_block,
                         warp_size: warp,
                         txn_bytes: self.profile.txn_bytes as u64,
+                        txn_shift: self.profile.txn_bytes.trailing_zeros(),
                         hwm,
                         stats: &mut stats,
                         cache: &mut cache,
-                        seg_scratch: Vec::with_capacity(warp * 2),
+                        seg_scratch: &mut seg_scratch,
                     };
                     let out = f(block, &mut ctx);
                     outs.push((block, out));
@@ -341,10 +343,13 @@ pub struct BlockCtx<'a> {
     threads: usize,
     warp_size: usize,
     txn_bytes: u64,
+    txn_shift: u32,
     hwm: u64,
     stats: &'a mut LaunchStats,
     cache: &'a mut SetAssocCache,
-    seg_scratch: Vec<u64>,
+    /// Segment or address scratch for unordered lanes, shared by the blocks
+    /// of one SM.
+    seg_scratch: &'a mut Vec<u64>,
 }
 
 impl BlockCtx<'_> {
@@ -386,24 +391,34 @@ impl BlockCtx<'_> {
     }
 
     /// Counts the memory transactions needed by one warp instruction whose
-    /// active lanes touch `[addr, addr + elem_bytes)` for each given address.
+    /// active lanes touch `[addr, addr + elem_bytes)` for each given address:
+    /// the number of distinct `txn_bytes` segments they cover.
     fn coalesce(&mut self, addrs: &[u64], elem_bytes: u64) -> u64 {
         debug_assert!(
             addrs.len() <= self.warp_size,
             "a warp instruction has at most warp_size active lanes"
         );
         debug_assert!(elem_bytes > 0, "memory accesses move at least one byte per lane");
-        self.seg_scratch.clear();
-        for &a in addrs {
-            let first = a / self.txn_bytes;
-            let last = (a + elem_bytes - 1) / self.txn_bytes;
-            for seg in first..=last {
-                self.seg_scratch.push(seg);
+        let shift = self.txn_shift;
+        let span = |a: u64| (a >> shift, (a + elem_bytes - 1) >> shift);
+        // Lanes almost always ascend. Then each lane's segments start at or
+        // after every earlier lane's, so the segments already counted that
+        // can overlap this lane are exactly `first..=top`.
+        let (first, mut top) = span(addrs[0]);
+        let mut txns = top - first + 1;
+        let mut prev = addrs[0];
+        for &a in &addrs[1..] {
+            if a < prev {
+                txns = self.coalesce_unordered(addrs, span);
+                break;
+            }
+            prev = a;
+            let (first, last) = span(a);
+            if last > top {
+                txns += last - first.max(top + 1) + 1;
+                top = last;
             }
         }
-        self.seg_scratch.sort_unstable();
-        self.seg_scratch.dedup();
-        let txns = self.seg_scratch.len() as u64;
         // Coalescing sanity: a non-empty warp instruction needs at least one
         // transaction and at most one per segment its lanes can span.
         debug_assert!(txns >= 1);
@@ -413,6 +428,19 @@ impl BlockCtx<'_> {
             addrs.len(),
         );
         txns
+    }
+
+    /// [`coalesce`](Self::coalesce) for lanes in arbitrary order: collect
+    /// every segment, then count the distinct ones.
+    fn coalesce_unordered(&mut self, addrs: &[u64], span: impl Fn(u64) -> (u64, u64)) -> u64 {
+        self.seg_scratch.clear();
+        for &a in addrs {
+            let (first, last) = span(a);
+            self.seg_scratch.extend(first..=last);
+        }
+        self.seg_scratch.sort_unstable();
+        self.seg_scratch.dedup();
+        self.seg_scratch.len() as u64
     }
 
     /// One warp-level global **load** instruction. `addrs` holds the byte

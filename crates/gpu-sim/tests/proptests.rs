@@ -3,6 +3,81 @@
 use bro_gpu_sim::{DeviceProfile, DeviceSim, KernelReport, SetAssocCache};
 use proptest::prelude::*;
 
+/// Reference LRU: per-way last-use stamps, evicting the minimum stamp
+/// (empty ways have stamp 0, so they fill first). Same geometry rule as
+/// [`SetAssocCache::new`].
+struct StampLru {
+    sets: u64,
+    assoc: usize,
+    line_bytes: u64,
+    tags: Vec<u64>,
+    stamps: Vec<u64>,
+    clock: u64,
+}
+
+impl StampLru {
+    fn new(capacity_bytes: usize, line_bytes: usize, assoc: usize) -> Self {
+        let sets = if capacity_bytes == 0 {
+            0
+        } else {
+            ((capacity_bytes / line_bytes).max(assoc) / assoc).max(1)
+        };
+        StampLru {
+            sets: sets as u64,
+            assoc,
+            line_bytes: line_bytes as u64,
+            tags: vec![u64::MAX; sets * assoc],
+            stamps: vec![0; sets * assoc],
+            clock: 0,
+        }
+    }
+
+    fn access(&mut self, addr: u64) -> bool {
+        self.clock += 1;
+        if self.sets == 0 {
+            return false;
+        }
+        let line = addr / self.line_bytes;
+        let start = (line % self.sets) as usize * self.assoc;
+        let ways = start..start + self.assoc;
+        if let Some(w) = ways.clone().find(|&w| self.tags[w] == line) {
+            self.stamps[w] = self.clock;
+            return true;
+        }
+        let lru = ways.min_by_key(|&w| self.stamps[w]).expect("assoc >= 1");
+        self.tags[lru] = line;
+        self.stamps[lru] = self.clock;
+        false
+    }
+}
+
+/// Reference coalescer: every segment each lane touches, sorted and
+/// deduplicated.
+fn distinct_segments(addrs: &[u64], elem_bytes: u64, txn_bytes: u64) -> u64 {
+    let mut segs: Vec<u64> =
+        addrs.iter().flat_map(|&a| a / txn_bytes..=(a + elem_bytes - 1) / txn_bytes).collect();
+    segs.sort_unstable();
+    segs.dedup();
+    segs.len() as u64
+}
+
+/// Cache geometries: C2070 (96 sets), K20 (384 sets), one set, zero
+/// capacity, direct-mapped, 8-way, and 128-byte lines.
+const GEOMETRIES: [(usize, usize, usize); 8] = [
+    (12 * 1024, 32, 4),
+    (48 * 1024, 32, 4),
+    (128, 32, 4),
+    (0, 32, 4),
+    (4096, 32, 1),
+    (16 * 1024, 32, 8),
+    (48 * 1024, 128, 4),
+    (8 * 1024, 128, 8),
+];
+
+/// Address regions. The second and third straddle line number 2³² for 32-
+/// and 128-byte lines, and the last lies far above it.
+const REGIONS: [u64; 4] = [0, (1 << 37) - 16 * 1024, (1 << 39) - 16 * 1024, 1 << 52];
+
 proptest! {
     /// Coalescing never produces more transactions than active lanes (for
     /// elements that fit in one segment) nor fewer than the minimum needed
@@ -43,6 +118,61 @@ proptest! {
         }
         prop_assert_eq!(c.hits() + c.misses(), addrs.len() as u64);
         prop_assert!(c.hit_rate() >= 0.0 && c.hit_rate() <= 1.0);
+    }
+
+    /// The move-to-front cache hits and misses exactly where the stamp LRU
+    /// does, on every access.
+    #[test]
+    fn cache_matches_stamp_lru(
+        geometry in 0..GEOMETRIES.len(),
+        accesses in prop::collection::vec((0..REGIONS.len(), 0u64..32 * 1024, 0u64..4), 1..3000),
+    ) {
+        let (capacity, line, assoc) = GEOMETRIES[geometry];
+        let mut fast = SetAssocCache::new(capacity, line, assoc);
+        let mut oracle = StampLru::new(capacity, line, assoc);
+        for (i, &(region, offset, narrow)) in accesses.iter().enumerate() {
+            // Narrow accesses revisit a small window, so hits are common.
+            let offset = if narrow == 0 { offset % 2048 } else { offset };
+            let addr = REGIONS[region] + offset;
+            prop_assert_eq!(fast.access(addr), oracle.access(addr), "access {} at {:#x}", i, addr);
+        }
+        prop_assert_eq!(fast.hits() + fast.misses(), accesses.len() as u64);
+    }
+
+    /// One-pass coalescing counts the same transactions as sort + dedup, for
+    /// lanes in order, reversed, duplicated or shuffled, and for elements
+    /// of 1 to 256 bytes straddling segment boundaries.
+    #[test]
+    fn coalescing_matches_sort_dedup(
+        base in 0u64..4096,
+        offsets in prop::collection::vec(0u64..1024, 1..=32),
+        elem_bytes in 1u64..=256,
+        pattern in 0u8..5,
+    ) {
+        let mut addrs: Vec<u64> = offsets.iter().map(|&o| base + o).collect();
+        match pattern {
+            0 => {}
+            1 => addrs.sort_unstable(),
+            2 => {
+                addrs.sort_unstable();
+                addrs.reverse();
+            }
+            3 => {
+                addrs.truncate(16);
+                addrs.sort_unstable();
+                addrs = addrs.iter().flat_map(|&a| [a, a]).collect();
+            }
+            _ => addrs = (0..offsets.len() as u64).map(|i| base + i * elem_bytes).collect(),
+        }
+        let mut sim = DeviceSim::new(DeviceProfile::tesla_k20());
+        let a = addrs.clone();
+        sim.launch(1, 32, move |_, ctx| {
+            ctx.global_read(&a, elem_bytes);
+            ctx.global_write(&a, elem_bytes);
+        });
+        let expect = distinct_segments(&addrs, elem_bytes, 128);
+        prop_assert_eq!(sim.stats().global_read_txns, expect, "lanes {:?}", addrs);
+        prop_assert_eq!(sim.stats().global_write_txns, expect);
     }
 
     /// Repeating an access sequence entirely within capacity yields 100%

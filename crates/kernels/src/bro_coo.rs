@@ -62,18 +62,20 @@ pub fn bro_coo_spmv<T: Scalar, W: Symbol>(
             let mut direct: Vec<(u32, T)> = Vec::new();
             let mut carries: Vec<(u32, T)> = Vec::new();
             let mut batch = AddrBatch::new();
+            let mut decoders: Vec<LaneDecoder<W>> = Vec::with_capacity(warp);
+            let mut rows_decoded: Vec<u32> = Vec::new();
             for wi in 0..warps_per_block {
                 let iv_idx = b * warps_per_block + wi;
                 let Some(iv) = intervals.get(iv_idx) else { break };
                 let steps = iv.len.div_ceil(warp);
-                let mut decoders: Vec<LaneDecoder<W>> =
-                    (0..warp).map(|_| LaneDecoder::new()).collect();
+                decoders.clear();
+                decoders.resize_with(warp, LaneDecoder::new);
                 let bw = iv.bit_width as u32;
                 let mut acc = iv.base_row as u64;
 
                 // Decode all rows of the interval while accounting step by
                 // step, accumulating segment sums.
-                let mut rows_decoded: Vec<u32> = Vec::with_capacity(iv.len);
+                rows_decoded.clear();
                 for j in 0..steps {
                     let lanes = (iv.len - j * warp).min(warp);
                     // Warp-uniform refill test.
@@ -90,16 +92,13 @@ pub fn bro_coo_spmv<T: Scalar, W: Symbol>(
                         ctx.int_ops(DECODE_OPS * lanes as u64);
                     }
                     // Decode deltas; lanes beyond the tail packed zeros.
-                    let mut step_sum = 0u64;
                     for (l, dec) in decoders.iter_mut().enumerate() {
                         let d = if bw == 0 { 0 } else { dec.read(&iv.stream, warp, l, bw) };
                         if j * warp + l < iv.len {
                             acc += d;
-                            step_sum += d;
                             rows_decoded.push(acc as u32);
                         }
                     }
-                    let _ = step_sum;
                     // Warp inclusive scan to distribute absolute rows.
                     ctx.warp_ops(2 * warp.ilog2() as u64 * lanes as u64);
 

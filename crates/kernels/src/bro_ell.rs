@@ -131,11 +131,18 @@ pub(crate) fn run_slice<T: Scalar, W: Symbol>(
     let height = slice.height;
     let mut y_local = vec![T::ZERO; height];
     let mut batch = AddrBatch::new();
+    let mut val_batch = AddrBatch::new();
+    let mut x_batch = AddrBatch::new();
+    let mut active: Vec<usize> = Vec::with_capacity(warp);
+    let mut decoders: Vec<LaneDecoder<W>> = Vec::with_capacity(warp);
+    // Per-lane running 1-based column index (0 = before first column).
+    let mut cols: Vec<i64> = Vec::with_capacity(warp);
     for w0 in (0..height).step_by(warp) {
         let lanes = (height - w0).min(warp);
-        let mut decoders: Vec<LaneDecoder<W>> = (0..lanes).map(|_| LaneDecoder::new()).collect();
-        // Per-lane running 1-based column index (0 = before first column).
-        let mut cols: Vec<i64> = vec![-1; lanes];
+        decoders.clear();
+        decoders.resize_with(lanes, LaneDecoder::new);
+        cols.clear();
+        cols.resize(lanes, -1);
         for c in 0..slice.num_cols {
             let b = slice.bit_alloc[c] as u32;
             // Warp-uniform refill decision (all lanes share rb).
@@ -153,9 +160,9 @@ pub(crate) fn run_slice<T: Scalar, W: Symbol>(
             }
 
             // Decode and multiply-add on valid lanes.
-            let mut val_batch = AddrBatch::new();
-            let mut x_batch = AddrBatch::new();
-            let mut active: Vec<usize> = Vec::with_capacity(lanes);
+            val_batch.clear();
+            x_batch.clear();
+            active.clear();
             for (l, dec) in decoders.iter_mut().enumerate() {
                 debug_assert_eq!(
                     refill,
@@ -173,7 +180,7 @@ pub(crate) fn run_slice<T: Scalar, W: Symbol>(
             ctx.global_read(val_batch.addrs(), T::BYTES as u64);
             ctx.tex_read(x_batch.addrs());
             ctx.flops(2 * active.len() as u64);
-            for l in active {
+            for &l in &active {
                 let v = slice.vals[c * height + (w0 + l)];
                 y_local[w0 + l] = v.mul_add(x[cols[l] as usize], y_local[w0 + l]);
             }

@@ -48,6 +48,11 @@ pub fn bro_ellr_spmv<T: Scalar, W: Symbol>(
         let height = slice.height;
         let mut y_local = vec![T::ZERO; height];
         let mut batch = AddrBatch::new();
+        let mut val_batch = AddrBatch::new();
+        let mut x_batch = AddrBatch::new();
+        let mut active: Vec<usize> = Vec::with_capacity(warp);
+        let mut decoders: Vec<LaneDecoder<W>> = Vec::with_capacity(warp);
+        let mut cols: Vec<i64> = Vec::with_capacity(warp);
         for w0 in (0..height).step_by(warp) {
             let lanes = (height - w0).min(warp);
             // Coalesced row_length load for the warp.
@@ -63,9 +68,10 @@ pub fn bro_ellr_spmv<T: Scalar, W: Symbol>(
                 .unwrap_or(0)
                 .min(slice.num_cols);
 
-            let mut decoders: Vec<LaneDecoder<W>> =
-                (0..lanes).map(|_| LaneDecoder::new()).collect();
-            let mut cols: Vec<i64> = vec![-1; lanes];
+            decoders.clear();
+            decoders.resize_with(lanes, LaneDecoder::new);
+            cols.clear();
+            cols.resize(lanes, -1);
             for c in 0..warp_max {
                 let bits = slice.bit_alloc[c] as u32;
                 let refill = bits > decoders[0].buffered();
@@ -80,9 +86,9 @@ pub fn bro_ellr_spmv<T: Scalar, W: Symbol>(
                 } else {
                     ctx.int_ops(DECODE_OPS_HIT * lanes as u64);
                 }
-                let mut val_batch = AddrBatch::new();
-                let mut x_batch = AddrBatch::new();
-                let mut active: Vec<usize> = Vec::with_capacity(lanes);
+                val_batch.clear();
+                x_batch.clear();
+                active.clear();
                 for (l, dec) in decoders.iter_mut().enumerate() {
                     let d = dec.read(&slice.stream, height, w0 + l, bits);
                     if d != 0 {
@@ -95,7 +101,7 @@ pub fn bro_ellr_spmv<T: Scalar, W: Symbol>(
                 ctx.global_read(val_batch.addrs(), T::BYTES as u64);
                 ctx.tex_read(x_batch.addrs());
                 ctx.flops(2 * active.len() as u64);
-                for l in active {
+                for &l in &active {
                     let v = slice.vals[c * height + (w0 + l)];
                     y_local[w0 + l] = v.mul_add(x[cols[l] as usize], y_local[w0 + l]);
                 }

@@ -40,6 +40,10 @@ pub fn csr_scalar_spmv<T: Scalar>(sim: &mut DeviceSim, csr: &CsrMatrix<T>, x: &[
         let height = (m - row0).min(BLOCK_SIZE);
         let mut y_local = vec![T::ZERO; height];
         let mut batch = AddrBatch::new();
+        let mut col_batch = AddrBatch::new();
+        let mut val_batch = AddrBatch::new();
+        let mut x_batch = AddrBatch::new();
+        let mut active: Vec<usize> = Vec::with_capacity(warp);
         for w0 in (0..height).step_by(warp) {
             let lanes = (height - w0).min(warp);
             // Row-pointer loads (coalesced).
@@ -59,10 +63,10 @@ pub fn csr_scalar_spmv<T: Scalar>(sim: &mut DeviceSim, csr: &CsrMatrix<T>, x: &[
             // scattered addresses, hence poor coalescing.
             let warp_max = (0..lanes).map(|l| csr.row_len(row0 + w0 + l)).max().unwrap_or(0);
             for j in 0..warp_max {
-                let mut col_batch = AddrBatch::new();
-                let mut val_batch = AddrBatch::new();
-                let mut x_batch = AddrBatch::new();
-                let mut active: Vec<usize> = Vec::with_capacity(lanes);
+                col_batch.clear();
+                val_batch.clear();
+                x_batch.clear();
+                active.clear();
                 for l in 0..lanes {
                     let r = row0 + w0 + l;
                     if j < csr.row_len(r) {
@@ -78,7 +82,7 @@ pub fn csr_scalar_spmv<T: Scalar>(sim: &mut DeviceSim, csr: &CsrMatrix<T>, x: &[
                 ctx.tex_read(x_batch.addrs());
                 ctx.flops(2 * active.len() as u64);
                 ctx.int_ops(2 * active.len() as u64);
-                for l in active {
+                for &l in &active {
                     let r = row0 + w0 + l;
                     let p = csr.row_ptr()[r] + j;
                     let c = csr.col_indices()[p] as usize;

@@ -35,6 +35,9 @@ pub fn ell_spmv<T: Scalar>(sim: &mut DeviceSim, ell: &EllMatrix<T>, x: &[T]) -> 
         let height = (m - row0).min(BLOCK_SIZE);
         let mut y_local = vec![T::ZERO; height];
         let mut batch = AddrBatch::new();
+        let mut val_batch = AddrBatch::new();
+        let mut x_batch = AddrBatch::new();
+        let mut active: Vec<(usize, u32)> = Vec::with_capacity(warp);
         for w0 in (0..height).step_by(warp) {
             let lanes = (height - w0).min(warp);
             for j in 0..k {
@@ -48,9 +51,9 @@ pub fn ell_spmv<T: Scalar>(sim: &mut DeviceSim, ell: &EllMatrix<T>, x: &[T]) -> 
                 ctx.int_ops(2 * lanes as u64);
 
                 // Gather the active (non-padding) lanes.
-                let mut val_batch = AddrBatch::new();
-                let mut x_batch = AddrBatch::new();
-                let mut active: Vec<(usize, u32)> = Vec::with_capacity(lanes);
+                val_batch.clear();
+                x_batch.clear();
+                active.clear();
                 for l in 0..lanes {
                     let r = row0 + w0 + l;
                     let c = ell.col_at(r, j);
@@ -63,7 +66,7 @@ pub fn ell_spmv<T: Scalar>(sim: &mut DeviceSim, ell: &EllMatrix<T>, x: &[T]) -> 
                 ctx.global_read(val_batch.addrs(), T::BYTES as u64);
                 ctx.tex_read(x_batch.addrs());
                 ctx.flops(2 * active.len() as u64);
-                for (l, c) in active {
+                for &(l, c) in &active {
                     let r = row0 + w0 + l;
                     y_local[w0 + l] = ell.val_at(r, j).mul_add(x[c as usize], y_local[w0 + l]);
                 }

@@ -38,6 +38,10 @@ pub fn ellr_spmv<T: Scalar>(sim: &mut DeviceSim, ellr: &EllRMatrix<T>, x: &[T]) 
         let height = (m - row0).min(BLOCK_SIZE);
         let mut y_local = vec![T::ZERO; height];
         let mut batch = AddrBatch::new();
+        let mut col_batch = AddrBatch::new();
+        let mut val_batch = AddrBatch::new();
+        let mut x_batch = AddrBatch::new();
+        let mut active: Vec<usize> = Vec::with_capacity(warp);
         for w0 in (0..height).step_by(warp) {
             let lanes = (height - w0).min(warp);
             // Coalesced row_length load.
@@ -50,10 +54,10 @@ pub fn ellr_spmv<T: Scalar>(sim: &mut DeviceSim, ellr: &EllRMatrix<T>, x: &[T]) 
             // The warp iterates to the longest row among its lanes.
             let warp_max = (0..lanes).map(|l| lengths[row0 + w0 + l] as usize).max().unwrap_or(0);
             for j in 0..warp_max {
-                let mut col_batch = AddrBatch::new();
-                let mut val_batch = AddrBatch::new();
-                let mut x_batch = AddrBatch::new();
-                let mut active: Vec<usize> = Vec::with_capacity(lanes);
+                col_batch.clear();
+                val_batch.clear();
+                x_batch.clear();
+                active.clear();
                 for l in 0..lanes {
                     let r = row0 + w0 + l;
                     if j < lengths[r] as usize {
@@ -69,7 +73,7 @@ pub fn ellr_spmv<T: Scalar>(sim: &mut DeviceSim, ellr: &EllRMatrix<T>, x: &[T]) 
                 // Loop bookkeeping only — no padding test.
                 ctx.int_ops(active.len() as u64);
                 ctx.flops(2 * active.len() as u64);
-                for l in active {
+                for &l in &active {
                     let r = row0 + w0 + l;
                     let c = ell.col_at(r, j) as usize;
                     y_local[w0 + l] = ell.val_at(r, j).mul_add(x[c], y_local[w0 + l]);

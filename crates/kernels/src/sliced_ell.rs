@@ -34,6 +34,9 @@ pub fn sliced_ell_spmv<T: Scalar>(sim: &mut DeviceSim, se: &SlicedEllMatrix<T>, 
         let height = slice.height;
         let mut y_local = vec![T::ZERO; height];
         let mut batch = AddrBatch::new();
+        let mut val_batch = AddrBatch::new();
+        let mut x_batch = AddrBatch::new();
+        let mut active: Vec<(usize, u32)> = Vec::with_capacity(warp);
         for w0 in (0..height).step_by(warp) {
             let lanes = (height - w0).min(warp);
             for j in 0..slice.width {
@@ -44,9 +47,9 @@ pub fn sliced_ell_spmv<T: Scalar>(sim: &mut DeviceSim, se: &SlicedEllMatrix<T>, 
                 ctx.global_read(batch.addrs(), 4);
                 ctx.int_ops(2 * lanes as u64);
 
-                let mut val_batch = AddrBatch::new();
-                let mut x_batch = AddrBatch::new();
-                let mut active: Vec<(usize, u32)> = Vec::with_capacity(lanes);
+                val_batch.clear();
+                x_batch.clear();
+                active.clear();
                 for l in 0..lanes {
                     let c = slice.col_idx[j * height + w0 + l];
                     if c != INVALID_INDEX {
@@ -58,7 +61,7 @@ pub fn sliced_ell_spmv<T: Scalar>(sim: &mut DeviceSim, se: &SlicedEllMatrix<T>, 
                 ctx.global_read(val_batch.addrs(), T::BYTES as u64);
                 ctx.tex_read(x_batch.addrs());
                 ctx.flops(2 * active.len() as u64);
-                for (l, c) in active {
+                for &(l, c) in &active {
                     let v = slice.vals[j * height + w0 + l];
                     y_local[w0 + l] = v.mul_add(x[c as usize], y_local[w0 + l]);
                 }

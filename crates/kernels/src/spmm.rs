@@ -48,6 +48,8 @@ pub fn ell_spmm<T: Scalar>(sim: &mut DeviceSim, ell: &EllMatrix<T>, xs: &[Vec<T>
         let height = (m - row0).min(BLOCK_SIZE);
         let mut y_local = vec![vec![T::ZERO; height]; kvecs];
         let mut batch = AddrBatch::new();
+        let mut val_batch = AddrBatch::new();
+        let mut active: Vec<(usize, u32)> = Vec::with_capacity(warp);
         for w0 in (0..height).step_by(warp) {
             let lanes = (height - w0).min(warp);
             for j in 0..k {
@@ -58,8 +60,8 @@ pub fn ell_spmm<T: Scalar>(sim: &mut DeviceSim, ell: &EllMatrix<T>, xs: &[Vec<T>
                 ctx.global_read(batch.addrs(), 4);
                 ctx.int_ops(2 * lanes as u64);
 
-                let mut val_batch = AddrBatch::new();
-                let mut active: Vec<(usize, u32)> = Vec::with_capacity(lanes);
+                val_batch.clear();
+                active.clear();
                 for l in 0..lanes {
                     let r = row0 + w0 + l;
                     let c = ell.col_at(r, j);
@@ -139,11 +141,16 @@ pub fn bro_ell_spmm<T: Scalar, W: Symbol>(
         let height = slice.height;
         let mut y_local = vec![vec![T::ZERO; height]; kvecs];
         let mut batch = AddrBatch::new();
+        let mut val_batch = AddrBatch::new();
+        let mut active: Vec<usize> = Vec::with_capacity(warp);
+        let mut decoders: Vec<LaneDecoder<W>> = Vec::with_capacity(warp);
+        let mut cols: Vec<i64> = Vec::with_capacity(warp);
         for w0 in (0..height).step_by(warp) {
             let lanes = (height - w0).min(warp);
-            let mut decoders: Vec<LaneDecoder<W>> =
-                (0..lanes).map(|_| LaneDecoder::new()).collect();
-            let mut cols: Vec<i64> = vec![-1; lanes];
+            decoders.clear();
+            decoders.resize_with(lanes, LaneDecoder::new);
+            cols.clear();
+            cols.resize(lanes, -1);
             for c in 0..slice.num_cols {
                 let bits = slice.bit_alloc[c] as u32;
                 let refill = bits > decoders[0].buffered();
@@ -158,8 +165,8 @@ pub fn bro_ell_spmm<T: Scalar, W: Symbol>(
                 } else {
                     ctx.int_ops(DECODE_OPS_HIT * lanes as u64);
                 }
-                let mut val_batch = AddrBatch::new();
-                let mut active: Vec<usize> = Vec::with_capacity(lanes);
+                val_batch.clear();
+                active.clear();
                 for (l, dec) in decoders.iter_mut().enumerate() {
                     let d = dec.read(&slice.stream, height, w0 + l, bits);
                     if d != 0 {

@@ -39,6 +39,17 @@ pub fn vlq_ell_spmv<T: Scalar>(sim: &mut DeviceSim, vlq: &VlqEll<T>, x: &[T]) ->
     let x_buf = sim.alloc(x.len().max(1), T::BYTES);
     let y_buf = sim.alloc(m, T::BYTES);
 
+    // Row-major value offset of each row = entries before it.
+    let val_start: Vec<usize> = vlq
+        .row_lengths()
+        .iter()
+        .scan(0usize, |acc, &len| {
+            let start = *acc;
+            *acc += len as usize;
+            Some(start)
+        })
+        .collect();
+
     let warp = sim.profile().warp_size;
     let blocks = m.div_ceil(BLOCK_SIZE);
     sim.label_next_launch("vlq-ell/rows");
@@ -47,6 +58,11 @@ pub fn vlq_ell_spmv<T: Scalar>(sim: &mut DeviceSim, vlq: &VlqEll<T>, x: &[T]) ->
         let height = (m - row0).min(BLOCK_SIZE);
         let mut y_local = vec![T::ZERO; height];
         let mut batch = AddrBatch::new();
+        let (mut pos, mut vpos) = (Vec::with_capacity(warp), Vec::with_capacity(warp));
+        let mut cols: Vec<i64> = Vec::with_capacity(warp);
+        let mut active: Vec<usize> = Vec::with_capacity(warp);
+        let mut pending: Vec<usize> = Vec::with_capacity(warp);
+        let mut decoded: Vec<u64> = Vec::with_capacity(warp);
         for w0 in (0..height).step_by(warp) {
             let lanes = (height - w0).min(warp);
             // Row offsets and lengths (these at least coalesce).
@@ -62,26 +78,25 @@ pub fn vlq_ell_spmv<T: Scalar>(sim: &mut DeviceSim, vlq: &VlqEll<T>, x: &[T]) ->
             ctx.global_read(batch.addrs(), 4);
 
             // Per-lane stream cursors and value positions.
-            let mut pos: Vec<usize> =
-                (0..lanes).map(|l| vlq.row_offsets()[row0 + w0 + l] as usize).collect();
-            let mut vpos: Vec<usize> = (0..lanes)
-                .map(|l| {
-                    // Row-major value offset = entries before this row.
-                    vlq.row_lengths()[..row0 + w0 + l].iter().map(|&v| v as usize).sum()
-                })
-                .collect();
-            let mut cols: Vec<i64> = vec![-1; lanes];
+            pos.clear();
+            pos.extend((0..lanes).map(|l| vlq.row_offsets()[row0 + w0 + l] as usize));
+            vpos.clear();
+            vpos.extend_from_slice(&val_start[row0 + w0..row0 + w0 + lanes]);
+            cols.clear();
+            cols.resize(lanes, -1);
             let warp_max =
                 (0..lanes).map(|l| vlq.row_lengths()[row0 + w0 + l] as usize).max().unwrap_or(0);
 
             for j in 0..warp_max {
                 // Decode one varint per active lane, byte by byte: loads are
                 // scattered and the warp iterates to the longest varint.
-                let mut active: Vec<usize> =
-                    (0..lanes).filter(|&l| j < vlq.row_lengths()[row0 + w0 + l] as usize).collect();
-                let mut decoded: Vec<Option<u64>> = vec![None; lanes];
+                active.clear();
+                active
+                    .extend((0..lanes).filter(|&l| j < vlq.row_lengths()[row0 + w0 + l] as usize));
+                decoded.clear();
+                decoded.resize(lanes, 0);
                 let mut byte_iters = 0u64;
-                let mut pending = active.clone();
+                pending.clone_from(&active);
                 while !pending.is_empty() {
                     byte_iters += 1;
                     batch.clear();
@@ -92,18 +107,13 @@ pub fn vlq_ell_spmv<T: Scalar>(sim: &mut DeviceSim, vlq: &VlqEll<T>, x: &[T]) ->
                     // Byte-at-a-time LEB128 accumulation per still-pending
                     // lane; lanes whose varint ends drop out of the warp's
                     // active mask (the divergence being modeled).
-                    let mut next_pending = Vec::with_capacity(pending.len());
-                    for &l in &pending {
+                    let shift = 7 * (byte_iters - 1) as u32;
+                    pending.retain(|&l| {
                         let byte = vlq.stream()[pos[l]];
                         pos[l] += 1;
-                        let prev = decoded[l].unwrap_or(0);
-                        let shift = 7 * (byte_iters - 1) as u32;
-                        decoded[l] = Some(prev | (((byte & 0x7F) as u64) << shift));
-                        if byte & 0x80 != 0 {
-                            next_pending.push(l);
-                        }
-                    }
-                    pending = next_pending;
+                        decoded[l] |= ((byte & 0x7F) as u64) << shift;
+                        byte & 0x80 != 0
+                    });
                 }
                 // SIMT lockstep: every lane pays for the deepest varint.
                 ctx.int_ops(VLQ_BYTE_OPS * byte_iters * lanes as u64);
@@ -114,19 +124,18 @@ pub fn vlq_ell_spmv<T: Scalar>(sim: &mut DeviceSim, vlq: &VlqEll<T>, x: &[T]) ->
                     batch.push(val_buf, vpos[l]);
                 }
                 ctx.global_read(batch.addrs(), T::BYTES as u64);
-                let mut x_batch = AddrBatch::new();
+                batch.clear();
                 for &l in &active {
-                    cols[l] += decoded[l].expect("active lanes decoded a delta") as i64;
-                    x_batch.push(x_buf, cols[l] as usize);
+                    cols[l] += decoded[l] as i64;
+                    batch.push(x_buf, cols[l] as usize);
                 }
-                ctx.tex_read(x_batch.addrs());
+                ctx.tex_read(batch.addrs());
                 ctx.flops(2 * active.len() as u64);
                 for &l in &active {
                     let v = vlq.values()[vpos[l]];
                     y_local[w0 + l] = v.mul_add(x[cols[l] as usize], y_local[w0 + l]);
                     vpos[l] += 1;
                 }
-                active.clear();
             }
             batch.clear();
             for l in 0..lanes {
