@@ -42,8 +42,20 @@ impl<T: Scalar> CooMatrix<T> {
                 return Err(MatrixError::IndexOutOfBounds { row: r, col: c, rows, cols });
             }
         }
+        let pos = |i: usize| (row_idx[i], col_idx[i]);
+        // Strictly row-major input, as the `.mtx` writer emits, is already
+        // in final order.
+        if (1..vals.len()).all(|i| pos(i - 1) < pos(i)) {
+            return Ok(CooMatrix {
+                rows,
+                cols,
+                row_idx: row_idx.iter().map(|&r| r as u32).collect(),
+                col_idx: col_idx.iter().map(|&c| c as u32).collect(),
+                vals: vals.to_vec(),
+            });
+        }
         let mut order: Vec<usize> = (0..vals.len()).collect();
-        order.sort_unstable_by_key(|&i| (row_idx[i], col_idx[i]));
+        order.sort_unstable_by_key(|&i| pos(i));
         for w in order.windows(2) {
             let (a, b) = (w[0], w[1]);
             if row_idx[a] == row_idx[b] && col_idx[a] == col_idx[b] {
@@ -305,6 +317,23 @@ mod tests {
         assert_eq!(a.row_indices(), &[0, 1, 1]);
         assert_eq!(a.col_indices(), &[1, 0, 1]);
         assert_eq!(a.values(), &[2.0, 1.0, 3.0]);
+    }
+
+    #[test]
+    fn sorted_input_builds_the_same_matrix() {
+        let (rows, cols, vals) = ([0, 0, 1, 2], [1, 3, 0, 3], [1.0, 2.0, 3.0, 4.0]);
+        let sorted = CooMatrix::from_triplets(3, 4, &rows, &cols, &vals).unwrap();
+        let order = [2, 0, 3, 1];
+        let shuffled = CooMatrix::from_triplets(
+            3,
+            4,
+            &order.map(|i| rows[i]),
+            &order.map(|i| cols[i]),
+            &order.map(|i| vals[i]),
+        )
+        .unwrap();
+        assert_eq!(sorted, shuffled);
+        assert_eq!(sorted.row_indices(), &[0, 0, 1, 2]);
     }
 
     #[test]

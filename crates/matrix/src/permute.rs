@@ -76,14 +76,28 @@ impl Permutation {
     }
 
     /// Applies to the rows of a matrix: returns `P·A`.
+    ///
+    /// Each row of `A` is a contiguous, column-sorted run, so `P·A` is those
+    /// runs copied whole in the new row order: already sorted, in O(nnz).
     pub fn apply_rows<T: Scalar>(&self, a: &CooMatrix<T>) -> CooMatrix<T> {
         assert_eq!(self.len(), a.rows(), "permutation size must match row count");
-        let inv = self.inverse();
-        let rows: Vec<usize> =
-            a.row_indices().iter().map(|&r| inv.perm[r as usize] as usize).collect();
-        let cols: Vec<usize> = a.col_indices().iter().map(|&c| c as usize).collect();
-        CooMatrix::from_triplets(a.rows(), a.cols(), &rows, &cols, a.values())
-            .expect("permuting rows preserves validity")
+        let mut start = vec![0usize; a.rows() + 1];
+        for &r in a.row_indices() {
+            start[r as usize + 1] += 1;
+        }
+        for r in 0..a.rows() {
+            start[r + 1] += start[r];
+        }
+        let mut rows = Vec::with_capacity(a.nnz());
+        let mut cols = Vec::with_capacity(a.nnz());
+        let mut vals = Vec::with_capacity(a.nnz());
+        for (new, &old) in self.perm.iter().enumerate() {
+            let run = start[old as usize]..start[old as usize + 1];
+            rows.resize(rows.len() + run.len(), new as u32);
+            cols.extend_from_slice(&a.col_indices()[run.clone()]);
+            vals.extend_from_slice(&a.values()[run]);
+        }
+        CooMatrix::from_sorted_parts(a.rows(), a.cols(), rows, cols, vals)
     }
 
     /// Applies to a vector: returns `P·v` (element `i` of the result is
@@ -147,6 +161,26 @@ mod tests {
         let y = a.spmv_reference(&x).unwrap();
         let y_perm = p.apply_rows(&a).spmv_reference(&x).unwrap();
         assert_eq!(y_perm, p.apply_vec(&y));
+    }
+
+    #[test]
+    fn apply_rows_matches_sorting_the_relabelled_triplets() {
+        // Rows of 0-6 entries (29·k mod 50 is distinct for k < 7), given out
+        // of order, under a scrambled permutation.
+        let (mut ri, mut ci) = (Vec::new(), Vec::new());
+        for r in 0..40usize {
+            for k in 0..r % 7 {
+                ri.push(r);
+                ci.push((r * 13 + k * 29) % 50);
+            }
+        }
+        let vals: Vec<f64> = (0..ri.len()).map(|i| i as f64).collect();
+        let a = CooMatrix::from_triplets(40, 50, &ri, &ci, &vals).unwrap();
+        let p = Permutation::from_order((0..40).map(|i| (i * 17 + 5) % 40).collect()).unwrap();
+        let inv = p.inverse();
+        let rows: Vec<usize> = ri.iter().map(|&r| inv.old_index(r) as usize).collect();
+        let want = CooMatrix::from_triplets(40, 50, &rows, &ci, &vals).unwrap();
+        assert_eq!(p.apply_rows(&a), want);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! reference, a simulated ELLPACK kernel, or a simulated BRO-ELL kernel
 //! (see the `cg_solver` example at the workspace root). The operator can
 //! even be a whole simulated cluster: `bro-gpu-cluster`'s `cluster_cg`
-//! wraps [`cg`] around a halo-exchanged multi-GPU SpMV, accumulating
+//! wraps [`cg`](fn@cg) around a halo-exchanged multi-GPU SpMV, accumulating
 //! per-iteration exchange traffic and overlap statistics.
 
 pub mod bicgstab;

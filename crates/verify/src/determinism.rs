@@ -1,8 +1,7 @@
 //! Thread-count determinism checks.
 //!
 //! The execution engine is parallel by default (rayon across thread
-//! blocks, BRO slices/intervals, BAR candidate scoring, and cluster
-//! devices), but every parallel region is written to merge results in a
+//! blocks, BRO slices/intervals, and cluster devices), but every parallel region is written to merge results in a
 //! fixed order, so the observable output must be bit-identical no matter
 //! how many worker threads run it. This module makes that guarantee a
 //! tested property: each check re-runs a pipeline under several pool
@@ -10,7 +9,8 @@
 //!
 //! * BRO-ELL and BRO-COO encodings of every fuzz [`Family`], compared as
 //!   serialized bitstreams;
-//! * BAR reordering permutations and their objective value;
+//! * BAR reordering permutations and their objective value (BAR itself
+//!   is serial; the check keeps it independent of the pool);
 //! * the full per-device golden snapshot document ([`snapshot_device`]);
 //! * the distributed cluster snapshot ([`snapshot_cluster`]).
 //!

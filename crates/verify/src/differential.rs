@@ -4,7 +4,7 @@
 //! family, computes the serial CSR reference product, and runs each
 //! registered format's simulated kernel on the same input. Any output that
 //! falls outside the ULP/relative [`Tolerance`] is a failure: the engine
-//! greedily shrinks the matrix (see [`crate::shrink`]) and hands back a
+//! greedily shrinks the matrix (see [`crate::shrink`](mod@crate::shrink)) and hands back a
 //! reproducer small enough to paste into a unit test or persist to the
 //! regression corpus.
 //!

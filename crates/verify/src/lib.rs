@@ -6,7 +6,7 @@
 //!    generators ([`generators`]) feed every registered SpMV format
 //!    ([`formats`]) and compare against the serial CSR reference under a
 //!    ULP-aware tolerance ([`tolerance`]). Failures are minimized by a
-//!    greedy shrinker ([`shrink`]) and persisted as replayable corpus
+//!    greedy shrinker ([`shrink`](mod@shrink)) and persisted as replayable corpus
 //!    cases ([`corpus`]).
 //! 2. **Golden-model conformance** ([`golden`]): JSON snapshots
 //!    ([`json`]) of the simulator's `LaunchStats` counters and roofline
