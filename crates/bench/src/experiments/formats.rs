@@ -1,14 +1,9 @@
-//! Extension experiment: the full format zoo — every classical and BRO
-//! format, plus the extension formats (Sliced-ELLPACK, CSR kernels,
-//! BRO-ELL-R), and the autotuner's pick per matrix.
+//! Extension experiment: the full format zoo — every kernel of the
+//! registry (classical, BRO and the extension formats) on the Tesla K20,
+//! plus the autotuner's pick per matrix.
 
-use bro_core::{BroCoo, BroCooConfig, BroEll, BroEllConfig, BroEllR, BroHyb, BroHybConfig};
 use bro_gpu_sim::DeviceProfile;
-use bro_kernels::{
-    bro_coo_spmv, bro_ell_spmv, bro_ellr_spmv, bro_hyb_spmv, coo_spmv, csr_scalar_spmv,
-    csr_vector_spmv, ell_spmv, ellr_spmv, hyb_spmv, recommend_format, sliced_ell_spmv,
-};
-use bro_matrix::{CsrMatrix, EllMatrix, EllRMatrix, HybMatrix, SlicedEllMatrix};
+use bro_kernels::{recommend_format, registry};
 
 use crate::context::ExpContext;
 use crate::experiments::run_kernel;
@@ -29,41 +24,14 @@ pub fn run(ctx: &mut ExpContext) {
         let a = ctx.matrix(name).clone();
         let x = ctx.input_vector(a.cols());
         let flops = 2 * a.nnz() as u64;
-
-        let csr = CsrMatrix::from_coo(&a);
-        let ell = EllMatrix::from_coo(&a);
-        let ellr = EllRMatrix::from_coo(&a);
-        let se = SlicedEllMatrix::from_coo(&a, 256);
-        let hyb = HybMatrix::from_coo(&a);
-        let bro_ell: BroEll<f64> = BroEll::compress(&ell, &BroEllConfig::default());
-        let bro_ellr: BroEllR<f64> = BroEllR::from_coo(&a, &BroEllConfig::default());
-        let bro_coo: BroCoo<f64> = BroCoo::compress(&a, &BroCooConfig::default());
-        let bro_hyb: BroHyb<f64> = BroHyb::from_coo(
-            &a,
-            &BroHybConfig { split_k: Some(hyb.split_k()), ..Default::default() },
-        );
-
-        type Runner<'z> = Box<dyn Fn(&mut bro_gpu_sim::DeviceSim) -> Vec<f64> + 'z>;
-        let runners: Vec<(&str, Runner)> = vec![
-            ("COO", Box::new(|s: &mut _| coo_spmv(s, &a, &x))),
-            ("CSR-scalar", Box::new(|s: &mut _| csr_scalar_spmv(s, &csr, &x))),
-            ("CSR-vector", Box::new(|s: &mut _| csr_vector_spmv(s, &csr, &x))),
-            ("ELLPACK", Box::new(|s: &mut _| ell_spmv(s, &ell, &x))),
-            ("ELLPACK-R", Box::new(|s: &mut _| ellr_spmv(s, &ellr, &x))),
-            ("Sliced-ELL", Box::new(|s: &mut _| sliced_ell_spmv(s, &se, &x))),
-            ("HYB", Box::new(|s: &mut _| hyb_spmv(s, &hyb, &x))),
-            ("BRO-ELL", Box::new(|s: &mut _| bro_ell_spmv(s, &bro_ell, &x))),
-            ("BRO-ELL-R", Box::new(|s: &mut _| bro_ellr_spmv(s, &bro_ellr, &x))),
-            ("BRO-COO", Box::new(|s: &mut _| bro_coo_spmv(s, &bro_coo, &x))),
-            ("BRO-HYB", Box::new(|s: &mut _| bro_hyb_spmv(s, &bro_hyb, &x))),
-        ];
-        for (fname, runner) in &runners {
+        for &kernel in registry::all() {
+            let prepared = kernel.build_from_coo(&a);
             let r = run_kernel(&dev, flops, 8, |s| {
-                runner(s);
+                prepared.run(s, &x);
             });
             t.row(vec![
                 name.to_string(),
-                fname.to_string(),
+                kernel.name().to_string(),
                 f(r.gflops, 2),
                 f(r.dram_bytes as f64 / 1e6, 2),
             ]);

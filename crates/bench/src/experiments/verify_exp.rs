@@ -8,7 +8,7 @@
 //! as `bro-tool verify`, sized for the experiment budget and reported as
 //! a table so it lands in `--out` CSVs next to the perf results.
 
-use bro_verify::{determinism, fuzz, golden, Family, FormatKind, FuzzConfig};
+use bro_verify::{determinism, fuzz, golden, kernels, Family, FuzzConfig};
 
 use crate::cli::die;
 use crate::context::ExpContext;
@@ -24,12 +24,8 @@ pub fn run(ctx: &mut ExpContext) {
     let iters = ((16.0 * ctx.scale).ceil() as u64).max(2);
     let config = FuzzConfig { iters, ..Default::default() };
     let report = fuzz(&config);
-    let coverage = format!(
-        "{} formats x {} families x {} seeds",
-        FormatKind::all().len(),
-        Family::all().len(),
-        iters
-    );
+    let coverage =
+        format!("{} formats x {} families x {} seeds", kernels().len(), Family::all().len(), iters);
     match report.failure {
         None => t.row(vec![
             "differential vs CSR".into(),

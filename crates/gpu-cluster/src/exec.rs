@@ -50,12 +50,13 @@ pub enum ClusterFormat {
 }
 
 impl ClusterFormat {
-    /// Looks a format up by its CLI name.
+    /// Looks a format up by its CLI name: `bro-hyb`, `hyb`, `bro-ell`,
+    /// `ell` or `coo`.
     pub fn by_name(name: &str) -> Option<Self> {
-        match name.to_ascii_lowercase().as_str() {
-            "bro-hyb" | "brohyb" => Some(ClusterFormat::BroHyb),
+        match name {
+            "bro-hyb" => Some(ClusterFormat::BroHyb),
             "hyb" => Some(ClusterFormat::Hyb),
-            "bro-ell" | "broell" => Some(ClusterFormat::BroEll),
+            "bro-ell" => Some(ClusterFormat::BroEll),
             "ell" => Some(ClusterFormat::Ell),
             "coo" => Some(ClusterFormat::Coo),
             _ => None,
@@ -385,6 +386,22 @@ mod tests {
 
     fn x_for(a: &CsrMatrix<f64>) -> Vec<f64> {
         (0..a.cols()).map(|i| 1.0 + ((i * 37) % 19) as f64 * 0.25).collect()
+    }
+
+    #[test]
+    fn by_name_takes_exactly_the_cli_names() {
+        for (name, format) in [
+            ("bro-hyb", ClusterFormat::BroHyb),
+            ("hyb", ClusterFormat::Hyb),
+            ("bro-ell", ClusterFormat::BroEll),
+            ("ell", ClusterFormat::Ell),
+            ("coo", ClusterFormat::Coo),
+        ] {
+            assert_eq!(ClusterFormat::by_name(name), Some(format));
+        }
+        for name in ["brohyb", "broell", "BRO-HYB", "csr"] {
+            assert_eq!(ClusterFormat::by_name(name), None, "{name}");
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! `bro-gpu-cluster` depends on `bro-kernels`, so the cluster kernel cannot
 //! be listed inside `bro_kernels::registry::all()` without a dependency
 //! cycle. Instead [`ClusterKernel`] implements the same [`SpmvKernel`]
-//! trait here; `bro-verify::FormatKind` (which sees both crates) splices it
-//! into the unified format list.
+//! trait here; `bro_verify::kernels()` (which sees both crates) chains it
+//! after the registry's list.
 
 use bro_gpu_sim::DeviceProfile;
 use bro_kernels::registry::{PreparedSpmv, SpmvKernel};
@@ -34,8 +34,7 @@ impl ClusterKernel {
     }
 
     /// The registry default: the paper's three evaluation devices with
-    /// BRO-HYB partitions — the configuration `FormatKind::Cluster` always
-    /// ran.
+    /// BRO-HYB partitions — the `cluster` entry of `bro_verify::kernels()`.
     pub fn evaluation_set() -> Self {
         ClusterKernel::new(
             DeviceProfile::evaluation_set(),

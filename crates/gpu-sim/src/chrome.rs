@@ -16,7 +16,9 @@
 //!
 //! [trace-event format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
-use crate::metrics::{escape, fmt_f64};
+use std::fmt::Write as _;
+
+use crate::json::{write_escaped, write_f64};
 use crate::trace::SpanRecord;
 
 const WALL_PID: u32 = 0;
@@ -72,18 +74,26 @@ pub fn chrome_trace_json(spans: &[SpanRecord]) -> String {
 }
 
 fn meta_event(pid: u32, tid: u32, kind: &str, name: &str) -> String {
-    format!(
-        "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"ts\":0,\"name\":\"{kind}\",\
-         \"args\":{{\"name\":\"{}\"}}}}",
-        escape(name)
-    )
+    let mut e = format!(
+        "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"ts\":0,\"name\":\"{kind}\",\"args\":{{\"name\":"
+    );
+    write_escaped(&mut e, name);
+    e.push_str("}}");
+    e
 }
 
 fn complete_event(span: &SpanRecord) -> String {
     let pid = if span.model_time { MODEL_PID } else { WALL_PID };
-    let mut args = String::new();
+    let mut e = format!("{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{},\"ts\":", span.lane);
+    write_f64(&mut e, span.start_us);
+    e.push_str(",\"dur\":");
+    write_f64(&mut e, span.dur_us);
+    e.push_str(",\"name\":");
+    write_escaped(&mut e, &span.name);
+    e.push_str(",\"args\":{");
     if let Some(delta) = &span.delta {
-        args = format!(
+        let _ = write!(
+            e,
             "\"dram_bytes\":{},\"global_read_bytes\":{},\"global_write_bytes\":{},\
              \"tex_fill_bytes\":{},\"flops\":{},\"int_ops\":{},\"warp_ops\":{},\
              \"launches\":{}",
@@ -97,14 +107,8 @@ fn complete_event(span: &SpanRecord) -> String {
             delta.launches
         );
     }
-    format!(
-        "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{},\"ts\":{},\"dur\":{},\"name\":\"{}\",\
-         \"args\":{{{args}}}}}",
-        span.lane,
-        fmt_f64(span.start_us),
-        fmt_f64(span.dur_us),
-        escape(&span.name)
-    )
+    e.push_str("}}");
+    e
 }
 
 #[cfg(test)]

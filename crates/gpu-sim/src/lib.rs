@@ -30,6 +30,7 @@ pub mod cache;
 pub mod chrome;
 pub mod device;
 pub mod exec;
+pub mod json;
 pub mod metrics;
 pub mod stats;
 pub mod timing;
@@ -40,6 +41,7 @@ pub use cache::SetAssocCache;
 pub use chrome::chrome_trace_json;
 pub use device::DeviceProfile;
 pub use exec::{BlockCtx, DeviceSim, DeviceSimBuilder};
+pub use json::Json;
 pub use metrics::{Metric, MetricsRegistry};
 pub use stats::{LaunchStats, StatsSnapshot};
 pub use timing::KernelReport;

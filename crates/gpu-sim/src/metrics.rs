@@ -67,23 +67,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Folds another registry into this one.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, m) in &other.metrics {
-            match self.metrics.get_mut(name) {
-                Some(mine) => {
-                    mine.count += m.count;
-                    mine.sum += m.sum;
-                    mine.min = mine.min.min(m.min);
-                    mine.max = mine.max.max(m.max);
-                }
-                None => {
-                    self.metrics.insert(name.clone(), *m);
-                }
-            }
-        }
-    }
-
     /// Builds a registry from a span recording: every span contributes its
     /// duration, and spans carrying a counter delta additionally contribute
     /// the traffic/arithmetic totals. Model-time spans are aggregated under
@@ -128,56 +111,6 @@ impl MetricsRegistry {
     pub fn is_empty(&self) -> bool {
         self.metrics.is_empty()
     }
-
-    /// Hand-rolled JSON object `{name: {count, sum, min, max}}` (the
-    /// workspace has no serde).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, m)) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{}}}",
-                escape(name),
-                m.count,
-                fmt_f64(m.sum),
-                fmt_f64(m.min),
-                fmt_f64(m.max)
-            ));
-        }
-        out.push('}');
-        out
-    }
-}
-
-/// Formats a float so the output is valid JSON (no NaN/inf literals).
-pub(crate) fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // `{}` on a whole f64 prints without a fractional part; that is
-        // still valid JSON, so leave it.
-        s
-    } else {
-        "0".to_string()
-    }
-}
-
-/// Escapes a string for embedding in a JSON literal.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl std::fmt::Display for MetricsRegistry {
@@ -226,19 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_folds_registries() {
-        let mut a = MetricsRegistry::new();
-        a.record("x", 1.0);
-        let mut b = MetricsRegistry::new();
-        b.record("x", 5.0);
-        b.record("y", 2.0);
-        a.merge(&b);
-        assert_eq!(a.get("x").unwrap().count, 2);
-        assert_eq!(a.get("x").unwrap().max, 5.0);
-        assert_eq!(a.get("y").unwrap().sum, 2.0);
-    }
-
-    #[test]
     fn from_spans_aggregates_repeated_names() {
         let t = Tracer::enabled();
         for _ in 0..3 {
@@ -251,15 +171,6 @@ mod tests {
         // lands under its own prefix.
         assert_eq!(reg.get("k/dur_us").unwrap().count, 3);
         assert_eq!(reg.get("model/k/dur_us").unwrap().count, 1);
-    }
-
-    #[test]
-    fn json_is_flat_and_escaped() {
-        let mut r = MetricsRegistry::new();
-        r.record("a\"b", 1.5);
-        let json = r.to_json();
-        assert!(json.contains("\\\""));
-        assert!(json.starts_with('{') && json.ends_with('}'));
     }
 
     #[test]

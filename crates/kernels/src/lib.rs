@@ -57,7 +57,7 @@ pub use multirow::bro_ell_multirow_spmv;
 pub use registry::{PreparedSpmv, SpmvKernel};
 pub use sliced_ell::sliced_ell_spmv;
 pub use spmm::{bro_ell_spmm, ell_spmm};
-pub use tune::{recommend_format, FormatChoice, TuneReport};
+pub use tune::{recommend_format, TuneReport};
 pub use vlq_ell::vlq_ell_spmv;
 
 /// Thread block size used by every kernel, matching the paper's `h = 256`.

@@ -9,8 +9,8 @@
 //! once instead of per call site.
 //!
 //! The distributed kernel lives in `bro-gpu-cluster` (which depends on this
-//! crate and therefore cannot be listed here); `bro-verify::FormatKind`
-//! stitches the two together.
+//! crate and therefore cannot be listed here); `bro_verify::kernels()`
+//! chains it after this list.
 
 use bro_core::{BroCoo, BroCooConfig, BroEll, BroEllConfig, BroEllR, BroHyb, BroHybConfig, VlqEll};
 use bro_gpu_sim::DeviceSim;
@@ -22,7 +22,9 @@ use crate::{
     vlq_ell_spmv,
 };
 
-/// Slice height used by the sliced-ELL registry entry (the paper's `h`).
+/// Slice height of the sliced-ELL registry entry. This is the registry's
+/// own choice (one warp per slice), not the paper's `h`, which is 256
+/// (`BroEllConfig::default`).
 pub const SLICED_ELL_SLICE: usize = 32;
 
 /// Threads cooperating per row in the multirow registry entry.
@@ -38,6 +40,12 @@ pub trait SpmvKernel: Sync {
     /// runnable kernel. Building is the expensive step; the returned
     /// [`PreparedSpmv`] can run many times (CG-style) without recompressing.
     fn build_from_coo(&self, a: &CooMatrix<f64>) -> PreparedSpmv;
+}
+
+impl std::fmt::Debug for dyn SpmvKernel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
 }
 
 /// The boxed kernel closure a [`PreparedSpmv`] executes.

@@ -4,63 +4,38 @@
 //! fastest.
 //!
 //! Because the simulator is deterministic and cheap relative to a real
-//! device sweep, the tuner simply measures every candidate end to end,
-//! skipping ELLPACK-family candidates whose padding would explode memory.
+//! device sweep, the tuner simply builds every candidate through the kernel
+//! registry and measures it end to end, skipping ELLPACK-family candidates
+//! whose padding would explode memory.
 
-use bro_core::{BroCoo, BroCooConfig, BroEll, BroEllConfig, BroEllR, BroHyb, BroHybConfig};
 use bro_gpu_sim::{DeviceProfile, DeviceSim, KernelReport};
-use bro_matrix::{CooMatrix, CsrMatrix, EllMatrix, EllRMatrix, HybMatrix, Scalar};
+use bro_matrix::CooMatrix;
 
-use crate::{
-    bro_coo_spmv, bro_ell_spmv, bro_ellr_spmv, bro_hyb_spmv, coo_spmv, csr_vector_spmv, ell_spmv,
-    ellr_spmv, hyb_spmv,
-};
+use crate::registry;
 
-/// The formats the tuner considers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FormatChoice {
-    /// Coordinate format with segmented reduction.
-    Coo,
-    /// CSR, one warp per row.
-    CsrVector,
-    /// ELLPACK.
-    Ell,
-    /// ELLPACK-R.
-    EllR,
-    /// Hybrid ELL + COO.
-    Hyb,
-    /// Bit-representation-optimized ELLPACK.
-    BroEll,
-    /// BRO-ELL with per-row lengths.
-    BroEllR,
-    /// Bit-representation-optimized COO.
-    BroCoo,
-    /// Hybrid BRO-ELL + BRO-COO.
-    BroHyb,
-}
-
-impl std::fmt::Display for FormatChoice {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            FormatChoice::Coo => "COO",
-            FormatChoice::CsrVector => "CSR-vector",
-            FormatChoice::Ell => "ELLPACK",
-            FormatChoice::EllR => "ELLPACK-R",
-            FormatChoice::Hyb => "HYB",
-            FormatChoice::BroEll => "BRO-ELL",
-            FormatChoice::BroEllR => "BRO-ELL-R",
-            FormatChoice::BroCoo => "BRO-COO",
-            FormatChoice::BroHyb => "BRO-HYB",
-        };
-        f.write_str(s)
-    }
-}
+/// The registry kernels the tuner measures, in measuring order, each with
+/// whether it pads every row to the longest one (the ELLPACK family).
+///
+/// The order breaks ties: candidates are sorted stably, so of two equally
+/// fast kernels the earlier one wins. On `mc2depi` (scale 0.25, K20)
+/// BRO-HYB and BRO-ELL tie bit for bit, and this order picks `bro-hyb`.
+pub const CANDIDATES: [(&str, bool); 9] = [
+    ("coo", false),
+    ("csr-vector", false),
+    ("bro-coo", false),
+    ("hyb", false),
+    ("bro-hyb", false),
+    ("ell", true),
+    ("ellr", true),
+    ("bro-ell", true),
+    ("bro-ellr", true),
+];
 
 /// One measured candidate.
 #[derive(Debug, Clone)]
 pub struct Candidate {
-    /// Which format.
-    pub format: FormatChoice,
+    /// Registry name of the kernel.
+    pub format: &'static str,
     /// Estimated GFLOP/s on the target device.
     pub gflops: f64,
     /// Total DRAM bytes per SpMV.
@@ -70,76 +45,41 @@ pub struct Candidate {
 /// The tuner's verdict.
 #[derive(Debug, Clone)]
 pub struct TuneReport {
-    /// The fastest format.
-    pub best: FormatChoice,
+    /// Registry name of the fastest kernel.
+    pub best: &'static str,
     /// All measured candidates, fastest first.
     pub candidates: Vec<Candidate>,
     /// Candidates skipped with the reason.
-    pub skipped: Vec<(FormatChoice, String)>,
+    pub skipped: Vec<(&'static str, String)>,
 }
 
 /// Padding-blowup limit: ELLPACK-family formats are skipped when the padded
 /// slot count exceeds this multiple of nnz.
 pub const MAX_ELL_BLOWUP: f64 = 8.0;
 
-/// Measures every viable format for `a` on `profile` and recommends the
+/// Measures every viable candidate for `a` on `profile` and recommends the
 /// fastest. `x` supplies the access pattern (use a representative input).
-pub fn recommend_format<T: Scalar>(
-    a: &CooMatrix<T>,
-    x: &[T],
-    profile: &DeviceProfile,
-) -> TuneReport {
+pub fn recommend_format(a: &CooMatrix<f64>, x: &[f64], profile: &DeviceProfile) -> TuneReport {
     assert_eq!(x.len(), a.cols(), "x length must match matrix columns");
     let flops = 2 * a.nnz() as u64;
+    let stats = a.stats();
+    let slots = stats.rows * stats.max_row_len;
+    let ell_fits = a.nnz() == 0 || slots as f64 <= MAX_ELL_BLOWUP * a.nnz() as f64;
     let mut candidates = Vec::new();
     let mut skipped = Vec::new();
-
-    let mut run = |format: FormatChoice, f: &mut dyn FnMut(&mut DeviceSim) -> Vec<T>| {
-        let mut sim = DeviceSim::new(profile.clone());
-        let y = f(&mut sim);
-        std::hint::black_box(&y);
-        let r = KernelReport::from_device(&sim, flops, T::BYTES);
-        candidates.push(Candidate { format, gflops: r.gflops, dram_bytes: r.dram_bytes });
-    };
-
-    // COO-family and CSR candidates always apply.
-    run(FormatChoice::Coo, &mut |s| coo_spmv(s, a, x));
-    let csr = CsrMatrix::from_coo(a);
-    run(FormatChoice::CsrVector, &mut |s| csr_vector_spmv(s, &csr, x));
-    let bro_coo: BroCoo<T> = BroCoo::compress(a, &BroCooConfig::default());
-    run(FormatChoice::BroCoo, &mut |s| bro_coo_spmv(s, &bro_coo, x));
-
-    // HYB-family candidates always apply.
-    let hyb = HybMatrix::from_coo(a);
-    run(FormatChoice::Hyb, &mut |s| hyb_spmv(s, &hyb, x));
-    let bro_hyb: BroHyb<T> =
-        BroHyb::from_coo(a, &BroHybConfig { split_k: Some(hyb.split_k()), ..Default::default() });
-    run(FormatChoice::BroHyb, &mut |s| bro_hyb_spmv(s, &bro_hyb, x));
-
-    // ELLPACK-family candidates only when padding stays sane.
-    let stats = a.stats();
-    let padded = stats.rows * stats.max_row_len;
-    if a.nnz() == 0 || padded as f64 <= MAX_ELL_BLOWUP * a.nnz() as f64 {
-        let ell = EllMatrix::from_coo(a);
-        run(FormatChoice::Ell, &mut |s| ell_spmv(s, &ell, x));
-        let ellr = EllRMatrix::from_coo(a);
-        run(FormatChoice::EllR, &mut |s| ellr_spmv(s, &ellr, x));
-        let bro: BroEll<T> = BroEll::compress(&ell, &BroEllConfig::default());
-        run(FormatChoice::BroEll, &mut |s| bro_ell_spmv(s, &bro, x));
-        let bror: BroEllR<T> = BroEllR::from_coo(a, &BroEllConfig::default());
-        run(FormatChoice::BroEllR, &mut |s| bro_ellr_spmv(s, &bror, x));
-    } else {
-        let reason = format!(
-            "padding blowup {:.1}x exceeds limit {MAX_ELL_BLOWUP}x",
-            padded as f64 / a.nnz() as f64
-        );
-        for f in
-            [FormatChoice::Ell, FormatChoice::EllR, FormatChoice::BroEll, FormatChoice::BroEllR]
-        {
-            skipped.push((f, reason.clone()));
+    for (name, padded) in CANDIDATES {
+        if padded && !ell_fits {
+            let blowup = slots as f64 / a.nnz() as f64;
+            let reason = format!("padding blowup {blowup:.1}x exceeds limit {MAX_ELL_BLOWUP}x");
+            skipped.push((name, reason));
+            continue;
         }
+        let kernel = registry::by_name(name).expect("tuner candidates are registry names");
+        let mut sim = DeviceSim::new(profile.clone());
+        std::hint::black_box(kernel.build_from_coo(a).run(&mut sim, x));
+        let r = KernelReport::from_device(&sim, flops, 8);
+        candidates.push(Candidate { format: name, gflops: r.gflops, dram_bytes: r.dram_bytes });
     }
-
     candidates.sort_by(|a, b| b.gflops.total_cmp(&a.gflops));
     TuneReport { best: candidates[0].format, candidates, skipped }
 }
@@ -148,6 +88,10 @@ pub fn recommend_format<T: Scalar>(
 mod tests {
     use super::*;
     use bro_matrix::suite;
+
+    /// The `repro formats` scale. BRO-HYB and BRO-ELL tie bit for bit on
+    /// `mc2depi` at every scale tried from 0.005 to 0.25.
+    const TIE_SCALE: f64 = 0.25;
 
     fn x_for(a: &CooMatrix<f64>) -> Vec<f64> {
         (0..a.cols()).map(|i| 1.0 + (i % 4) as f64 * 0.5).collect()
@@ -162,10 +106,7 @@ mod tests {
         let x = x_for(&a);
         let report = recommend_format(&a, &x, &DeviceProfile::tesla_c2070());
         assert!(
-            matches!(
-                report.best,
-                FormatChoice::BroEll | FormatChoice::BroEllR | FormatChoice::BroHyb
-            ),
+            ["bro-ell", "bro-ellr", "bro-hyb"].contains(&report.best),
             "best = {} of {:?}",
             report.best,
             report.candidates.iter().map(|c| (c.format, c.gflops)).collect::<Vec<_>>()
@@ -191,10 +132,7 @@ mod tests {
         let a = CooMatrix::from_triplets(n, n, &r, &c, &vec![1.0; r.len()]).unwrap();
         let report = recommend_format(&a, &vec![1.0; n], &DeviceProfile::tesla_k20());
         assert_eq!(report.skipped.len(), 4);
-        assert!(report
-            .candidates
-            .iter()
-            .all(|cand| !matches!(cand.format, FormatChoice::Ell | FormatChoice::BroEll)));
+        assert!(report.candidates.iter().all(|cand| !["ell", "bro-ell"].contains(&cand.format)));
     }
 
     #[test]
@@ -209,8 +147,22 @@ mod tests {
     }
 
     #[test]
-    fn display_names() {
-        assert_eq!(FormatChoice::BroEll.to_string(), "BRO-ELL");
-        assert_eq!(FormatChoice::CsrVector.to_string(), "CSR-vector");
+    fn every_candidate_is_a_registry_kernel() {
+        for (name, _) in CANDIDATES {
+            assert_eq!(registry::by_name(name).map(|k| k.name()), Some(name));
+        }
+    }
+
+    /// BRO-HYB and BRO-ELL reach bit-identical GFLOP/s on `mc2depi`; the
+    /// candidate order, not the registry order, decides the pick.
+    #[test]
+    fn exact_tie_keeps_the_earlier_candidate() {
+        let a: CooMatrix<f64> = suite::by_name("mc2depi").unwrap().spec(TIE_SCALE).generate();
+        let x: Vec<f64> = (0..a.cols()).map(|i| 1.0 + (i % 8) as f64 * 0.25).collect();
+        let report = recommend_format(&a, &x, &DeviceProfile::tesla_k20());
+        let [first, second, ..] = &report.candidates[..] else { panic!("too few candidates") };
+        assert_eq!((first.format, second.format), ("bro-hyb", "bro-ell"));
+        assert_eq!(first.gflops.to_bits(), second.gflops.to_bits());
+        assert_eq!(report.best, "bro-hyb");
     }
 }

@@ -13,10 +13,11 @@
 //! divergence — the CI `verify` job runs once clean and once injected.
 
 use bro_gpu_sim::{DeviceProfile, DeviceSim};
+use bro_kernels::SpmvKernel;
 use bro_matrix::CooMatrix;
 
 use crate::corpus::CorpusCase;
-use crate::formats::FormatKind;
+use crate::formats::kernels;
 use crate::generators::{input_vector, Family};
 use crate::shrink::{shrink, Shrunk};
 use crate::tolerance::{compare, Mismatch, Tolerance};
@@ -50,8 +51,8 @@ impl FaultKind {
 /// A fault targeted at one format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSpec {
-    /// The format whose run is corrupted.
-    pub format: FormatKind,
+    /// Name of the kernel whose run is corrupted.
+    pub format: &'static str,
     /// How to corrupt it.
     pub kind: FaultKind,
 }
@@ -61,8 +62,8 @@ pub struct FaultSpec {
 pub struct FuzzConfig {
     /// Generator families to draw from.
     pub families: Vec<Family>,
-    /// Formats under test.
-    pub formats: Vec<FormatKind>,
+    /// Kernels under test.
+    pub formats: Vec<&'static dyn SpmvKernel>,
     /// Seeds tried per family.
     pub iters: u64,
     /// First seed (successive iterations use `seed0 + i`).
@@ -77,7 +78,7 @@ impl Default for FuzzConfig {
     fn default() -> Self {
         FuzzConfig {
             families: Family::all().to_vec(),
-            formats: FormatKind::all().to_vec(),
+            formats: kernels().to_vec(),
             iters: 8,
             seed0: 1,
             tolerance: Tolerance::default(),
@@ -93,8 +94,8 @@ pub struct Failure {
     pub family: Family,
     /// Seed of the failing iteration.
     pub seed: u64,
-    /// The diverging format.
-    pub format: FormatKind,
+    /// Name of the diverging kernel.
+    pub format: &'static str,
     /// First mismatching element of the *shrunk* case.
     pub mismatch: Mismatch,
     /// The minimized reproducer.
@@ -141,17 +142,17 @@ pub struct FuzzReport {
     pub failure: Option<Failure>,
 }
 
-/// Runs one (format, matrix, x) case, returning the first mismatch against
+/// Runs one (kernel, matrix, x) case, returning the first mismatch against
 /// the CSR reference, or `None` when the output is accepted.
 pub fn run_case(
-    format: FormatKind,
+    kernel: &dyn SpmvKernel,
     a: &CooMatrix<f64>,
     x: &[f64],
     tol: &Tolerance,
     fault: Option<FaultSpec>,
 ) -> Option<Mismatch> {
     let want = a.spmv_reference(x).expect("reference SpMV on a valid matrix");
-    let fault = fault.filter(|f| f.format == format);
+    let fault = fault.filter(|f| f.format == kernel.name());
 
     let kernel_input = match fault {
         Some(FaultSpec { kind: FaultKind::DropLastEntry, .. }) if a.nnz() > 0 => {
@@ -166,7 +167,7 @@ pub fn run_case(
     let kernel_a = kernel_input.as_ref().unwrap_or(a);
 
     let mut sim = DeviceSim::new(DeviceProfile::tesla_k20());
-    let mut got = format.run(&mut sim, kernel_a, x);
+    let mut got = kernel.build_from_coo(kernel_a).run(&mut sim, x);
 
     if let Some(FaultSpec { kind: FaultKind::PerturbValue, .. }) = fault {
         if let Some(y0) = got.first_mut() {
@@ -185,16 +186,17 @@ pub fn fuzz(config: &FuzzConfig) -> FuzzReport {
         for &family in &config.families {
             let a = family.generate(seed);
             let x = input_vector(a.cols(), seed);
-            for &format in &config.formats {
+            for &kernel in &config.formats {
                 cases_run += 1;
-                let Some(_first) = run_case(format, &a, &x, &config.tolerance, config.fault) else {
+                let Some(_first) = run_case(kernel, &a, &x, &config.tolerance, config.fault) else {
                     continue;
                 };
                 let tol = config.tolerance.clone();
                 let fault = config.fault;
-                let shrunk = shrink(&a, &x, |m, xs| run_case(format, m, xs, &tol, fault).is_some());
-                let mismatch = run_case(format, &shrunk.matrix, &shrunk.x, &tol, fault)
+                let shrunk = shrink(&a, &x, |m, xs| run_case(kernel, m, xs, &tol, fault).is_some());
+                let mismatch = run_case(kernel, &shrunk.matrix, &shrunk.x, &tol, fault)
                     .expect("shrunk case still fails");
+                let format = kernel.name();
                 return FuzzReport {
                     cases_run,
                     failure: Some(Failure { family, seed, format, mismatch, shrunk }),
@@ -205,24 +207,23 @@ pub fn fuzz(config: &FuzzConfig) -> FuzzReport {
     FuzzReport { cases_run, failure: None }
 }
 
-/// Replays a corpus case against every format, returning the first
-/// divergence (format name, mismatch) if any.
+/// Replays a corpus case against every kernel, returning the first
+/// divergence (kernel name, mismatch) if any.
 pub fn replay(
     case: &CorpusCase,
-    formats: &[FormatKind],
+    formats: &[&'static dyn SpmvKernel],
     tol: &Tolerance,
-) -> Option<(FormatKind, Mismatch)> {
-    for &format in formats {
-        if let Some(m) = run_case(format, &case.matrix, &case.x, tol, None) {
-            return Some((format, m));
-        }
-    }
-    None
+) -> Option<(&'static str, Mismatch)> {
+    formats.iter().find_map(|&k| Some((k.name(), run_case(k, &case.matrix, &case.x, tol, None)?)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn kernel(name: &str) -> &'static dyn SpmvKernel {
+        crate::formats::kernel(name).unwrap()
+    }
 
     #[test]
     fn clean_campaign_passes_every_format() {
@@ -233,21 +234,21 @@ mod tests {
         };
         let report = fuzz(&config);
         assert!(report.failure.is_none(), "unexpected: {}", report.failure.unwrap());
-        assert_eq!(report.cases_run, 2 * 2 * FormatKind::all().len() as u64);
+        assert_eq!(report.cases_run, 2 * 2 * kernels().len() as u64);
     }
 
     #[test]
     fn injected_matrix_fault_is_caught_and_shrunk() {
         let config = FuzzConfig {
             families: vec![Family::Banded],
-            formats: vec![FormatKind::Ell, FormatKind::BroEll],
+            formats: vec![kernel("ell"), kernel("bro-ell")],
             iters: 4,
-            fault: Some(FaultSpec { format: FormatKind::BroEll, kind: FaultKind::DropLastEntry }),
+            fault: Some(FaultSpec { format: "bro-ell", kind: FaultKind::DropLastEntry }),
             ..Default::default()
         };
         let report = fuzz(&config);
         let failure = report.failure.expect("injected fault must be detected");
-        assert_eq!(failure.format, FormatKind::BroEll);
+        assert_eq!(failure.format, "bro-ell");
         // A single dropped entry shrinks to a single-entry reproducer.
         assert!(failure.shrunk.matrix.nnz() <= 2, "nnz = {}", failure.shrunk.matrix.nnz());
         assert!(failure.to_corpus().note.contains("bro-ell"));
@@ -257,9 +258,9 @@ mod tests {
     fn injected_output_fault_is_caught() {
         let config = FuzzConfig {
             families: vec![Family::Banded],
-            formats: vec![FormatKind::CsrScalar],
+            formats: vec![kernel("csr-scalar")],
             iters: 1,
-            fault: Some(FaultSpec { format: FormatKind::CsrScalar, kind: FaultKind::PerturbValue }),
+            fault: Some(FaultSpec { format: "csr-scalar", kind: FaultKind::PerturbValue }),
             ..Default::default()
         };
         let report = fuzz(&config);
@@ -272,9 +273,9 @@ mod tests {
         let a = Family::Banded.generate(3);
         let x = input_vector(a.cols(), 3);
         let tol = Tolerance::default();
-        let fault = Some(FaultSpec { format: FormatKind::Hyb, kind: FaultKind::DropLastEntry });
-        assert!(run_case(FormatKind::Ell, &a, &x, &tol, fault).is_none());
-        assert!(run_case(FormatKind::Hyb, &a, &x, &tol, fault).is_some());
+        let fault = Some(FaultSpec { format: "hyb", kind: FaultKind::DropLastEntry });
+        assert!(run_case(kernel("ell"), &a, &x, &tol, fault).is_none());
+        assert!(run_case(kernel("hyb"), &a, &x, &tol, fault).is_some());
     }
 
     #[test]

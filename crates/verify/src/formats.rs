@@ -1,207 +1,52 @@
-//! Registry of every SpMV path under differential test.
+//! Every SpMV path under differential test.
 //!
-//! [`FormatKind`] is the unified format list: the 14 single-device kernels
-//! come from `bro_kernels::registry` (the [`SpmvKernel`] trait), and the
-//! distributed kernel is spliced in from `bro_gpu_cluster::ClusterKernel`
-//! — this crate sits above both, so it is the one place the full list can
-//! exist. The fuzzer, the golden suite, and the CLIs all iterate it.
-//! Adding a kernel to `bro-kernels` without registering it here fails the
-//! `registry_covers_every_exported_kernel` test below.
+//! [`kernels`] is `bro_kernels::registry::all()` followed by the one
+//! distributed kernel, `bro_gpu_cluster::ClusterKernel::evaluation_set()`.
+//! The cluster cannot sit in the registry itself (`bro-gpu-cluster`
+//! depends on `bro-kernels`), and this crate sits above both, so it is the
+//! one place the two lists are chained. The fuzzer, corpus replay and the
+//! CLIs iterate it; the golden suite iterates the registry directly.
 
 use std::sync::OnceLock;
 
 use bro_gpu_cluster::ClusterKernel;
-use bro_gpu_sim::DeviceSim;
-use bro_kernels::registry::{self, PreparedSpmv, SpmvKernel};
-use bro_matrix::CooMatrix;
+use bro_kernels::registry::{self, SpmvKernel};
 
-/// One SpMV implementation under test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FormatKind {
-    /// ELLPACK, one thread per row.
-    Ell,
-    /// ELLPACK-R (explicit row lengths).
-    EllR,
-    /// Sliced ELLPACK (per-slice widths).
-    SlicedEll,
-    /// HYB = ELL + COO tail.
-    Hyb,
-    /// COO with warp-level segmented reduction.
-    Coo,
-    /// CSR, one thread per row.
-    CsrScalar,
-    /// CSR, one warp per row.
-    CsrVector,
-    /// BRO-ELL (Algorithm 1).
-    BroEll,
-    /// BRO-ELL-R.
-    BroEllR,
-    /// BRO-COO.
-    BroCoo,
-    /// BRO-HYB.
-    BroHyb,
-    /// VLQ-ELL, the CPU-style varint counterfactual.
-    VlqEll,
-    /// BRO-ELL with 2 threads cooperating per row plus a reduction kernel.
-    Multirow,
-    /// BRO-ELL SpMM, single-column block (exercises the SpMM path).
-    Spmm,
-    /// Distributed SpMV across 3 simulated devices (BRO-HYB partitions).
-    Cluster,
+/// Every single-device registry kernel, in registry order, then the
+/// 3-device cluster (BRO-HYB partitions).
+pub fn kernels() -> &'static [&'static dyn SpmvKernel] {
+    static KERNELS: OnceLock<Vec<&'static dyn SpmvKernel>> = OnceLock::new();
+    KERNELS.get_or_init(|| {
+        let cluster: &'static ClusterKernel = Box::leak(Box::new(ClusterKernel::evaluation_set()));
+        registry::all().iter().copied().chain([cluster as &dyn SpmvKernel]).collect()
+    })
 }
 
-impl FormatKind {
-    /// Every registered format.
-    pub fn all() -> &'static [FormatKind] {
-        &[
-            FormatKind::Ell,
-            FormatKind::EllR,
-            FormatKind::SlicedEll,
-            FormatKind::Hyb,
-            FormatKind::Coo,
-            FormatKind::CsrScalar,
-            FormatKind::CsrVector,
-            FormatKind::BroEll,
-            FormatKind::BroEllR,
-            FormatKind::BroCoo,
-            FormatKind::BroHyb,
-            FormatKind::VlqEll,
-            FormatKind::Multirow,
-            FormatKind::Spmm,
-            FormatKind::Cluster,
-        ]
-    }
-
-    /// The subset meaningful for golden perf snapshots (single-device
-    /// kernels; the cluster has its own snapshot schema).
-    pub fn golden_set() -> &'static [FormatKind] {
-        &[
-            FormatKind::Ell,
-            FormatKind::EllR,
-            FormatKind::SlicedEll,
-            FormatKind::Hyb,
-            FormatKind::Coo,
-            FormatKind::CsrScalar,
-            FormatKind::CsrVector,
-            FormatKind::BroEll,
-            FormatKind::BroEllR,
-            FormatKind::BroCoo,
-            FormatKind::BroHyb,
-            FormatKind::VlqEll,
-        ]
-    }
-
-    /// Stable lowercase name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            FormatKind::Ell => "ell",
-            FormatKind::EllR => "ellr",
-            FormatKind::SlicedEll => "sliced-ell",
-            FormatKind::Hyb => "hyb",
-            FormatKind::Coo => "coo",
-            FormatKind::CsrScalar => "csr-scalar",
-            FormatKind::CsrVector => "csr-vector",
-            FormatKind::BroEll => "bro-ell",
-            FormatKind::BroEllR => "bro-ellr",
-            FormatKind::BroCoo => "bro-coo",
-            FormatKind::BroHyb => "bro-hyb",
-            FormatKind::VlqEll => "vlq-ell",
-            FormatKind::Multirow => "multirow",
-            FormatKind::Spmm => "spmm",
-            FormatKind::Cluster => "cluster",
-        }
-    }
-
-    /// Looks a format up by its [`FormatKind::name`].
-    pub fn by_name(name: &str) -> Option<FormatKind> {
-        FormatKind::all().iter().copied().find(|f| f.name() == name)
-    }
-
-    /// The [`SpmvKernel`] implementing this format: a
-    /// `bro_kernels::registry` entry for every single-device kernel, the
-    /// `ClusterKernel` (paper's 3-device evaluation set, BRO-HYB
-    /// partitions) for [`FormatKind::Cluster`].
-    pub fn kernel(&self) -> &'static dyn SpmvKernel {
-        match self {
-            FormatKind::Cluster => {
-                static CLUSTER: OnceLock<ClusterKernel> = OnceLock::new();
-                CLUSTER.get_or_init(ClusterKernel::evaluation_set)
-            }
-            other => registry::by_name(other.name())
-                .unwrap_or_else(|| panic!("kernel registry is missing '{}'", other.name())),
-        }
-    }
-
-    /// Compresses `a` into this format, ready for repeated multiplication.
-    pub fn prepare(&self, a: &CooMatrix<f64>) -> PreparedSpmv {
-        self.kernel().build_from_coo(a)
-    }
-
-    /// Computes `y = A·x` through this format on the given simulated
-    /// device, leaving the device's statistics covering exactly this run
-    /// (the cluster runs on its own per-rank devices and leaves `sim`
-    /// untouched).
-    pub fn run(&self, sim: &mut DeviceSim, a: &CooMatrix<f64>, x: &[f64]) -> Vec<f64> {
-        self.prepare(a).run(sim, x)
-    }
-}
-
-impl std::fmt::Display for FormatKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
+/// Looks a kernel of [`kernels`] up by its [`SpmvKernel::name`].
+pub fn kernel(name: &str) -> Option<&'static dyn SpmvKernel> {
+    kernels().iter().copied().find(|k| k.name() == name)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bro_gpu_sim::DeviceProfile;
 
     #[test]
     fn names_round_trip() {
-        for &f in FormatKind::all() {
-            assert_eq!(FormatKind::by_name(f.name()), Some(f));
+        for &k in kernels() {
+            assert_eq!(kernel(k.name()).map(|f| f.name()), Some(k.name()));
         }
-        assert_eq!(FormatKind::by_name("elliptical"), None);
+        assert!(kernel("elliptical").is_none());
     }
 
-    #[test]
-    fn every_format_runs_on_a_small_matrix() {
-        let a = bro_matrix::generate::laplacian_2d::<f64>(6);
-        let x: Vec<f64> = (0..a.cols()).map(|i| 1.0 + (i % 5) as f64).collect();
-        let want = a.spmv_reference(&x).unwrap();
-        for &f in FormatKind::all() {
-            let mut sim = DeviceSim::new(DeviceProfile::tesla_k20());
-            let got = f.run(&mut sim, &a, &x);
-            bro_matrix::scalar::assert_vec_approx_eq(&got, &want, 1e-9);
-        }
-    }
-
-    /// Compile-time-ish guard: if `bro-kernels` exports a new `*_spmv`
-    /// kernel, this module must import it (the import list above) and add a
-    /// `FormatKind`. The count below is asserted so a new export without a
-    /// registry entry shows up as a test failure during review.
+    /// The list is the registry, in order, plus the cluster: a kernel added
+    /// to `bro-kernels` reaches the fuzzer and replay without an edit here.
     #[test]
     fn registry_covers_every_exported_kernel() {
-        assert_eq!(FormatKind::all().len(), 15);
-        assert_eq!(FormatKind::golden_set().len(), 12);
-        // The kernel registry holds every format except the cluster (which
-        // lives in bro-gpu-cluster to avoid a dependency cycle).
-        assert_eq!(bro_kernels::registry::all().len(), FormatKind::all().len() - 1);
-    }
-
-    #[test]
-    fn kernel_names_agree_with_format_names() {
-        for &f in FormatKind::all() {
-            assert_eq!(f.kernel().name(), f.name());
-        }
-        // And the reverse direction: every registry kernel has a FormatKind.
-        for &k in bro_kernels::registry::all() {
-            assert!(
-                FormatKind::by_name(k.name()).is_some(),
-                "registry kernel '{}' has no FormatKind",
-                k.name()
-            );
-        }
+        let names: Vec<&str> = kernels().iter().map(|k| k.name()).collect();
+        let registry: Vec<&str> = registry::all().iter().map(|k| k.name()).collect();
+        assert_eq!(names.len(), 15);
+        assert_eq!(names[..registry.len()], registry[..]);
+        assert_eq!(names.last(), Some(&"cluster"));
     }
 }

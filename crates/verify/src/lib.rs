@@ -3,13 +3,13 @@
 //! Three pillars, one crate:
 //!
 //! 1. **Differential fuzzing** ([`differential`]): structured matrix
-//!    generators ([`generators`]) feed every registered SpMV format
-//!    ([`formats`]) and compare against the serial CSR reference under a
+//!    generators ([`generators`]) feed every registered SpMV kernel
+//!    ([`kernels()`]) and compare against the serial CSR reference under a
 //!    ULP-aware tolerance ([`tolerance`]). Failures are minimized by a
 //!    greedy shrinker ([`shrink`](mod@shrink)) and persisted as replayable corpus
 //!    cases ([`corpus`]).
 //! 2. **Golden-model conformance** ([`golden`]): JSON snapshots
-//!    ([`json`]) of the simulator's `LaunchStats` counters and roofline
+//!    ([`Json`]) of the simulator's `LaunchStats` counters and roofline
 //!    `KernelReport` for a fixed (matrix, format, device) grid — including
 //!    the 3-device cluster — diffed field-by-field and refreshed with
 //!    `UPDATE_GOLDEN=1`.
@@ -29,20 +29,19 @@ pub mod differential;
 pub mod formats;
 pub mod generators;
 pub mod golden;
-pub mod json;
 pub mod shrink;
 pub mod tolerance;
 pub mod trace_check;
 
+pub use bro_gpu_sim::Json;
 pub use corpus::{load_dir, CorpusCase, CorpusError};
 pub use determinism::DeterminismReport;
 pub use differential::{
     fuzz, replay, run_case, Failure, FaultKind, FaultSpec, FuzzConfig, FuzzReport,
 };
-pub use formats::FormatKind;
+pub use formats::{kernel, kernels};
 pub use generators::{input_vector, Family};
 pub use golden::{golden_dir, update_requested, GoldenOutcome};
-pub use json::Json;
 pub use shrink::{shrink, Shrunk};
 pub use tolerance::{compare, ulp_diff, Mismatch, Tolerance};
 pub use trace_check::validate_chrome_trace;

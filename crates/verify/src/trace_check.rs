@@ -6,7 +6,7 @@
 //! (`"X"`) events, and keep its timestamps monotonically non-decreasing in
 //! array order (the writer sorts; this check keeps it honest).
 
-use crate::json::Json;
+use bro_gpu_sim::Json;
 
 /// Validates the trace-event document in `text` and returns the number of
 /// complete (`"X"`) events on success.

@@ -3,7 +3,7 @@
 //! conformance of the committed golden snapshots.
 
 use bro_verify::{
-    fuzz, golden, replay, run_case, CorpusCase, Family, FaultKind, FaultSpec, FormatKind,
+    fuzz, golden, kernel, kernels, replay, run_case, CorpusCase, Family, FaultKind, FaultSpec,
     FuzzConfig, Tolerance,
 };
 
@@ -12,33 +12,28 @@ use bro_verify::{
 /// and still pins the fault.
 #[test]
 fn injected_fault_is_caught_shrunk_persisted_and_replayable() {
-    let fault = FaultSpec { format: FormatKind::BroHyb, kind: FaultKind::DropLastEntry };
+    let bro_hyb = kernel("bro-hyb").unwrap();
+    let fault = FaultSpec { format: "bro-hyb", kind: FaultKind::DropLastEntry };
     let config = FuzzConfig {
         families: vec![Family::PowerLaw],
-        formats: vec![FormatKind::Hyb, FormatKind::BroHyb],
+        formats: vec![kernel("hyb").unwrap(), bro_hyb],
         iters: 4,
         fault: Some(fault),
         ..Default::default()
     };
     let report = fuzz(&config);
     let failure = report.failure.expect("the injected fault must be detected");
-    assert_eq!(failure.format, FormatKind::BroHyb);
+    assert_eq!(failure.format, "bro-hyb");
 
     // The shrunk case is tiny and still fails under the fault…
     assert!(failure.shrunk.matrix.nnz() <= 4, "nnz = {}", failure.shrunk.matrix.nnz());
     let tol = Tolerance::default();
-    assert!(run_case(
-        FormatKind::BroHyb,
-        &failure.shrunk.matrix,
-        &failure.shrunk.x,
-        &tol,
-        Some(fault)
-    )
-    .is_some());
+    assert!(
+        run_case(bro_hyb, &failure.shrunk.matrix, &failure.shrunk.x, &tol, Some(fault)).is_some()
+    );
 
     // …and passes without it (the kernel itself is fine).
-    assert!(run_case(FormatKind::BroHyb, &failure.shrunk.matrix, &failure.shrunk.x, &tol, None)
-        .is_none());
+    assert!(run_case(bro_hyb, &failure.shrunk.matrix, &failure.shrunk.x, &tol, None).is_none());
 
     // Persist → reload → bit-identical, and clean under replay.
     let path =
@@ -48,7 +43,7 @@ fn injected_fault_is_caught_shrunk_persisted_and_replayable() {
     let back = CorpusCase::load(&path).unwrap();
     std::fs::remove_file(&path).ok();
     assert_eq!(back, case);
-    assert!(replay(&back, FormatKind::all(), &tol).is_none());
+    assert!(replay(&back, kernels(), &tol).is_none());
 }
 
 /// A fuzzing pass over every format and family with no fault injected must
@@ -58,7 +53,7 @@ fn clean_differential_pass_over_all_formats() {
     let config = FuzzConfig { iters: 2, ..Default::default() };
     let report = fuzz(&config);
     assert!(report.failure.is_none(), "{}", report.failure.unwrap());
-    assert_eq!(report.cases_run, 2 * (Family::all().len() * FormatKind::all().len()) as u64);
+    assert_eq!(report.cases_run, 2 * (Family::all().len() * kernels().len()) as u64);
 }
 
 /// The committed golden snapshots must match what the simulator produces

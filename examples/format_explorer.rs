@@ -1,6 +1,8 @@
 //! Format explorer: picks a matrix from the paper's Table 2 suite (or a
-//! MatrixMarket file) and compares every storage format — COO, ELLPACK,
-//! ELLPACK-R, HYB and their BRO counterparts — on all three simulated GPUs.
+//! MatrixMarket file) and compares every kernel of the registry — COO,
+//! ELLPACK, ELLPACK-R, HYB, their BRO counterparts and the extension
+//! formats — on all three simulated GPUs. It panics if any kernel's result
+//! differs from the CPU reference.
 //!
 //! ```sh
 //! cargo run --release --example format_explorer -- cant
@@ -8,7 +10,7 @@
 //! ```
 
 use bro_spmv::core::{BroCoo, BroCooConfig, BroHyb, BroHybConfig};
-use bro_spmv::gpu_sim::KernelReport;
+use bro_spmv::kernels::registry;
 use bro_spmv::matrix::{io::read_matrix_market_file, suite};
 use bro_spmv::prelude::*;
 
@@ -33,11 +35,7 @@ fn main() {
     let reference = csr_spmv(&CsrMatrix::from_coo(&a), &x);
     let flops = 2 * a.nnz() as u64;
 
-    // Compress once per format.
-    let ell = EllMatrix::from_coo(&a);
-    let ellr = EllRMatrix::from_coo(&a);
-    let hyb = HybMatrix::from_coo(&a);
-    let bro_ell: BroEll<f64> = BroEll::compress(&ell, &BroEllConfig::default());
+    let bro_ell: BroEll<f64> = BroEll::from_coo(&a, &BroEllConfig::default());
     let bro_coo: BroCoo<f64> = BroCoo::compress(&a, &BroCooConfig::default());
     let bro_hyb: BroHyb<f64> = BroHyb::from_coo(&a, &BroHybConfig::default());
     println!(
@@ -54,25 +52,16 @@ fn main() {
             assert!((a - b).abs() <= 1e-9 * b.abs().max(1.0), "kernel diverged from reference");
         }
     };
-    type Runner<'a> = Box<dyn Fn(&mut DeviceSim) -> Vec<f64> + 'a>;
-    let kernels: Vec<(&str, Runner)> = vec![
-        ("COO", Box::new(|s: &mut DeviceSim| coo_spmv(s, &a, &x))),
-        ("ELLPACK", Box::new(|s: &mut DeviceSim| ell_spmv(s, &ell, &x))),
-        ("ELLPACK-R", Box::new(|s: &mut DeviceSim| ellr_spmv(s, &ellr, &x))),
-        ("HYB", Box::new(|s: &mut DeviceSim| hyb_spmv(s, &hyb, &x))),
-        ("BRO-ELL", Box::new(|s: &mut DeviceSim| bro_ell_spmv(s, &bro_ell, &x))),
-        ("BRO-COO", Box::new(|s: &mut DeviceSim| bro_coo_spmv(s, &bro_coo, &x))),
-        ("BRO-HYB", Box::new(|s: &mut DeviceSim| bro_hyb_spmv(s, &bro_hyb, &x))),
-    ];
-    for (name, run) in &kernels {
+    for &kernel in registry::all() {
+        // Compress once, run on every device.
+        let prepared = kernel.build_from_coo(&a);
         let mut cells = Vec::new();
         for profile in DeviceProfile::evaluation_set() {
             let mut sim = DeviceSim::new(profile);
-            let y = run(&mut sim);
-            verify(&y);
+            verify(&prepared.run(&mut sim, &x));
             let r = KernelReport::from_device(&sim, flops, 8);
             cells.push(format!("{:>14.2}", r.gflops));
         }
-        println!("{:<12} {}", name, cells.join(" "));
+        println!("{:<12} {}", kernel.name(), cells.join(" "));
     }
 }

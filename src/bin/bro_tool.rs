@@ -49,7 +49,7 @@ use bro_spmv::kernels::recommend_format;
 use bro_spmv::matrix::{io::read_matrix_market_file, suite};
 use bro_spmv::prelude::*;
 use bro_spmv::solvers::{bicgstab, gmres, BiCgStabOptions, GmresOptions, SolveStats};
-use bro_spmv::verify::{FaultKind, FaultSpec, FormatKind, FuzzConfig};
+use bro_spmv::verify::{self, FaultKind, FaultSpec, FuzzConfig};
 
 struct Args {
     positional: Vec<String>,
@@ -116,7 +116,8 @@ fn parse_args(raw: &[String]) -> Args {
                 });
             }
             // Stored raw: `partition` wants a ClusterFormat, `trace` any
-            // FormatKind — each subcommand resolves (and rejects) itself.
+            // `verify::kernels()` name — each subcommand resolves (and
+            // rejects) itself.
             "--format" => a.format = flag_value(&mut it, "--format").to_ascii_lowercase(),
             "--hetero" => a.hetero = true,
             "--iters" => {
@@ -132,8 +133,9 @@ fn parse_args(raw: &[String]) -> Args {
                 let Some((fmt, kind)) = v.split_once(':') else {
                     die(&format!("--inject-fault wants <format>:<kind>, got '{v}'"));
                 };
-                let format = FormatKind::by_name(fmt)
-                    .unwrap_or_else(|| die(&format!("unknown format '{fmt}'")));
+                let format = verify::kernel(fmt)
+                    .unwrap_or_else(|| die(&format!("unknown format '{fmt}'")))
+                    .name();
                 let kind = FaultKind::by_name(kind).unwrap_or_else(|| {
                     die(&format!("unknown fault '{kind}' (drop-last-entry|perturb-value)"))
                 });
@@ -227,7 +229,7 @@ fn cmd_recommend(a: &Args) {
     println!("best format on {}: {}", a.device.name, report.best);
     println!("{:<12} {:>10} {:>14}", "format", "GFLOP/s", "DRAM bytes");
     for c in &report.candidates {
-        println!("{:<12} {:>10.2} {:>14}", c.format.to_string(), c.gflops, c.dram_bytes);
+        println!("{:<12} {:>10.2} {:>14}", c.format, c.gflops, c.dram_bytes);
     }
     for (f, why) in &report.skipped {
         println!("skipped {f}: {why}");
@@ -357,8 +359,6 @@ fn cmd_suite() {
 }
 
 fn cmd_verify(a: &Args) {
-    use bro_spmv::verify;
-
     let t0 = std::time::Instant::now();
     let mut failed = false;
     println!("verify: {} worker thread(s)", effective_threads());
@@ -399,7 +399,7 @@ fn cmd_verify(a: &Args) {
             let mut bad = 0;
             for (name, case) in &cases {
                 if let Some((format, mismatch)) =
-                    verify::replay(case, FormatKind::all(), &verify::Tolerance::default())
+                    verify::replay(case, verify::kernels(), &verify::Tolerance::default())
                 {
                     failed = true;
                     bad += 1;
@@ -482,8 +482,8 @@ fn cmd_verify(a: &Args) {
 /// root span.
 fn cmd_trace(a: &Args) {
     let name = a.positional.first().unwrap_or_else(|| die("trace needs a matrix"));
-    let fmt = FormatKind::by_name(&a.format).unwrap_or_else(|| {
-        let names: Vec<&str> = FormatKind::all().iter().map(|f| f.name()).collect();
+    let kernel = verify::kernel(&a.format).unwrap_or_else(|| {
+        let names: Vec<&str> = verify::kernels().iter().map(|k| k.name()).collect();
         die(&format!("unknown format '{}' ({})", a.format, names.join("|")))
     });
     let m = load_matrix(name, a.scale);
@@ -494,7 +494,7 @@ fn cmd_trace(a: &Args) {
     let t0 = std::time::Instant::now();
     // Lifetime totals are accumulated independently of the tracer, so the
     // reconciliation below compares two genuinely separate bookkeepers.
-    let (y, totals) = if fmt == FormatKind::Cluster {
+    let (y, totals) = if kernel.name() == "cluster" {
         let csr = CsrMatrix::from_coo(&m);
         let config = ClusterConfig { link: a.link.clone(), ..Default::default() };
         let cluster = ClusterSpmv::build(&csr, &cluster_profiles(a), config);
@@ -503,7 +503,7 @@ fn cmd_trace(a: &Args) {
         (y, totals)
     } else {
         let mut sim = DeviceSim::builder(a.device.clone()).tracer(tracer.clone()).build();
-        let y = fmt.prepare(&m).run(&mut sim, &x);
+        let y = kernel.build_from_coo(&m).run(&mut sim, &x);
         (y, sim.lifetime_snapshot())
     };
     let elapsed = t0.elapsed().as_secs_f64();
@@ -512,14 +512,15 @@ fn cmd_trace(a: &Args) {
     let spans = tracer.spans();
     assert_eq!(tracer.open_spans(), 0, "all spans closed after the run");
     println!(
-        "{name}: format {fmt}, {} span(s) in {:.1} ms (max |diff| vs CPU = {max_err:.2e})",
+        "{name}: format {}, {} span(s) in {:.1} ms (max |diff| vs CPU = {max_err:.2e})",
+        kernel.name(),
         spans.len(),
         elapsed * 1e3
     );
     println!("{}", MetricsRegistry::from_spans(&spans));
 
     let json = chrome_trace_json(&spans);
-    let events = bro_spmv::verify::validate_chrome_trace(&json)
+    let events = verify::validate_chrome_trace(&json)
         .unwrap_or_else(|e| die(&format!("exported trace failed schema validation: {e}")));
     let out = if a.out_set { a.out_dir.clone() } else { "trace.json".into() };
     if let Some(parent) = out.parent().filter(|p| !p.as_os_str().is_empty()) {
@@ -646,7 +647,7 @@ mod tests {
         assert_eq!(a.threads, 0);
         assert_eq!(
             a.inject_fault,
-            Some(FaultSpec { format: FormatKind::BroEll, kind: FaultKind::DropLastEntry })
+            Some(FaultSpec { format: "bro-ell", kind: FaultKind::DropLastEntry })
         );
         assert!(a.update_golden);
         assert_eq!(a.out_dir, std::path::PathBuf::from("tmp"));

@@ -68,7 +68,7 @@ pub mod prelude {
     pub use bro_kernels::{
         bro_coo_spmv, bro_ell_spmv, bro_ellr_spmv, bro_hyb_spmv, coo_spmv, csr_scalar_spmv,
         csr_vector_spmv, ell_spmv, ellr_spmv, hyb_spmv, recommend_format, reference::csr_spmv,
-        sliced_ell_spmv, FormatChoice,
+        sliced_ell_spmv,
     };
     pub use bro_matrix::{
         CooMatrix, CsrMatrix, EllMatrix, EllRMatrix, HybMatrix, MatrixStats, Permutation,

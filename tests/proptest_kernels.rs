@@ -106,15 +106,15 @@ proptest! {
 /// `bro_tool verify --inject-fault` land in the same directory.
 #[test]
 fn regression_corpus_replays_clean() {
-    use bro_spmv::verify::{load_dir, replay, FormatKind, Tolerance};
+    use bro_spmv::verify::{kernels, load_dir, replay, Tolerance};
 
     let dir = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus"));
     let cases = load_dir(dir).expect("corpus directory must be readable");
     assert!(!cases.is_empty(), "the committed regression corpus must not be empty");
     let tol = Tolerance::default();
     for (name, case) in &cases {
-        if let Some((format, mismatch)) = replay(case, FormatKind::all(), &tol) {
-            panic!("corpus case '{name}' ({}) diverged on {format:?}: {mismatch}", case.note);
+        if let Some((format, mismatch)) = replay(case, kernels(), &tol) {
+            panic!("corpus case '{name}' ({}) diverged on {format}: {mismatch}", case.note);
         }
     }
 }

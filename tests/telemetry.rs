@@ -10,11 +10,12 @@
 
 use bro_spmv::gpu_cluster::ClusterSpmv;
 use bro_spmv::gpu_sim::{chrome_trace_json, MetricsRegistry, StatsSnapshot, Tracer};
+use bro_spmv::kernels::registry;
 use bro_spmv::matrix::scalar::assert_vec_approx_eq;
 use bro_spmv::matrix::{generate::laplacian_2d, suite};
 use bro_spmv::prelude::*;
 use bro_spmv::solvers::cg_traced;
-use bro_spmv::verify::{validate_chrome_trace, FormatKind};
+use bro_spmv::verify::validate_chrome_trace;
 
 fn test_matrix() -> CooMatrix<f64> {
     suite::by_name("epb3").unwrap().spec(0.02).generate()
@@ -44,13 +45,12 @@ fn every_registry_format_reconciles_spans_with_lifetime_totals() {
     let x = input(a.cols());
     let reference = csr_spmv(&CsrMatrix::from_coo(&a), &x);
 
-    for &fmt in FormatKind::all() {
-        if fmt == FormatKind::Cluster {
-            continue; // covered by the 4-GPU test below
-        }
+    // The cluster is covered by the 4-GPU test below.
+    for &kernel in registry::all() {
+        let fmt = kernel.name();
         let tracer = Tracer::enabled();
         let mut sim = DeviceSim::builder(DeviceProfile::tesla_k20()).tracer(tracer.clone()).build();
-        let y = fmt.prepare(&a).run(&mut sim, &x);
+        let y = kernel.build_from_coo(&a).run(&mut sim, &x);
         assert_vec_approx_eq(&y, &reference, 1e-9);
 
         assert_eq!(tracer.open_spans(), 0, "{fmt}: span leaked");
@@ -111,7 +111,7 @@ fn traced_solve_produces_well_nested_spans() {
     let b = input(a.rows());
     let tracer = Tracer::enabled();
     let mut sim = DeviceSim::builder(DeviceProfile::tesla_k20()).tracer(tracer.clone()).build();
-    let prepared = FormatKind::BroEll.prepare(&a);
+    let prepared = registry::by_name("bro-ell").unwrap().build_from_coo(&a);
     let opts = CgOptions { max_iters: 10, tol: 1e-300 };
     cg_traced(|v| prepared.run(&mut sim, v), &b, &opts, &tracer);
 
@@ -146,13 +146,14 @@ fn traced_solve_produces_well_nested_spans() {
 fn disabled_tracing_changes_nothing() {
     let a = test_matrix();
     let x = input(a.cols());
-    for &fmt in FormatKind::golden_set() {
+    for &kernel in registry::all() {
+        let fmt = kernel.name();
         let mut plain = DeviceSim::new(DeviceProfile::gtx680());
-        let y_plain = fmt.prepare(&a).run(&mut plain, &x);
+        let y_plain = kernel.build_from_coo(&a).run(&mut plain, &x);
 
         let tracer = Tracer::disabled();
         let mut gated = DeviceSim::builder(DeviceProfile::gtx680()).tracer(tracer.clone()).build();
-        let y_gated = fmt.prepare(&a).run(&mut gated, &x);
+        let y_gated = kernel.build_from_coo(&a).run(&mut gated, &x);
 
         assert_eq!(y_plain, y_gated, "{fmt}: results diverge");
         assert_eq!(plain.lifetime_snapshot(), gated.lifetime_snapshot(), "{fmt}: counters diverge");
