@@ -3,9 +3,10 @@
 //! [`BitReader`] mirrors the decoder of the paper's Algorithm 1 exactly: a
 //! symbol buffer `sym` with `rb` remaining bits, refilled from the stream
 //! whenever a requested width exceeds `rb`, extracting from the top of the
-//! buffer and shifting left. The BRO SpMV kernels in `bro-kernels` inline
-//! this state machine per simulated thread; this host-side reader is the
-//! reference implementation used by tests and offline tooling.
+//! buffer and shifting left. The BRO SpMV kernels in `bro-kernels` run the
+//! same state machine once per warp through [`WarpDecoder`](crate::WarpDecoder);
+//! this host-side reader is the reference implementation used by tests and
+//! offline tooling.
 
 use crate::symbol::Symbol;
 

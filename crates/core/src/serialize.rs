@@ -14,11 +14,14 @@
 //!
 //! Readers validate the header against the requested types and every length
 //! field against the remaining payload, so truncated or mistyped files are
-//! rejected instead of mis-decoded.
+//! rejected instead of mis-decoded. They also decode every slice and
+//! interval once: a stream whose indices fall outside the matrix, or whose
+//! entry count disagrees with the header, is an error, so a matrix that
+//! reads back can be decompressed and multiplied without panicking.
 
 use std::io::{Read, Write};
 
-use bro_bitstream::Symbol;
+use bro_bitstream::{Symbol, WarpDecoder};
 use bro_matrix::Scalar;
 
 use crate::bro_coo::{BroCoo, BroCooInterval};
@@ -91,6 +94,18 @@ fn get_usize<R: Read>(r: &mut R, what: &str, cap: u64) -> Result<usize> {
 /// Sanity cap for any single length field (protects against running wild on
 /// corrupted input before hitting EOF).
 const LEN_CAP: u64 = 1 << 40;
+
+/// Cap for the row and column counts: matrix indices are `u32`.
+const DIM_CAP: u64 = 1 << 32;
+
+fn payload(msg: String) -> SerializeError {
+    SerializeError::Payload(msg)
+}
+
+/// `a · b`, or an error naming `what` when the product overflows.
+fn product(a: usize, b: usize, what: &str) -> Result<usize> {
+    a.checked_mul(b).ok_or_else(|| payload(format!("{what} overflows: {a} x {b}")))
+}
 
 fn put_header<W: Write>(w: &mut W, format: u8, val_bytes: u8, sym_bytes: u8) -> Result<()> {
     w.write_all(MAGIC)?;
@@ -202,19 +217,28 @@ pub fn write_bro_ell<T: Scalar, S: Symbol, W: Write>(bro: &BroEll<T, S>, w: &mut
 /// Reads a BRO-ELL matrix from a binary stream.
 pub fn read_bro_ell<T: Scalar, S: Symbol, R: Read>(r: &mut R) -> Result<BroEll<T, S>> {
     check_header(r, 1, T::BYTES as u8, (S::BITS / 8) as u8)?;
-    let rows = get_usize(r, "rows", LEN_CAP)?;
-    let cols = get_usize(r, "cols", LEN_CAP)?;
+    let rows = get_usize(r, "rows", DIM_CAP)?;
+    let cols = get_usize(r, "cols", DIM_CAP)?;
     let nnz = get_usize(r, "nnz", LEN_CAP)?;
     let ell_width = get_usize(r, "ell width", LEN_CAP)?;
     let slice_height = get_usize(r, "slice height", LEN_CAP)?;
     let n_slices = get_usize(r, "slice count", LEN_CAP)?;
-    if slice_height == 0 && n_slices > 0 {
-        return Err(SerializeError::Payload("zero slice height".into()));
+    // Slice `i` holds rows `i·h .. min((i+1)·h, rows)`, as `compress` cuts them.
+    let expected_slices = if slice_height == 0 { 0 } else { rows.div_ceil(slice_height) };
+    if n_slices != expected_slices || (slice_height == 0 && rows > 0) {
+        return Err(payload(format!(
+            "{n_slices} slices of height {slice_height} cannot hold {rows} rows"
+        )));
     }
     let mut slices = Vec::with_capacity(n_slices.min(1 << 20));
-    let mut total_rows = 0usize;
+    let mut dec = WarpDecoder::new();
+    let mut decoded_nnz = 0usize;
     for i in 0..n_slices {
         let height = get_usize(r, "slice rows", LEN_CAP)?;
+        let expected_height = slice_height.min(rows - i * slice_height);
+        if height != expected_height {
+            return Err(payload(format!("slice {i}: height {height}, expected {expected_height}")));
+        }
         let num_cols = get_usize(r, "slice cols", LEN_CAP)?;
         let pad_bits = get_u32(r)?;
         let syms_per_row = get_usize(r, "syms per row", LEN_CAP)?;
@@ -231,39 +255,73 @@ pub fn read_bro_ell<T: Scalar, S: Symbol, R: Read>(r: &mut R) -> Result<BroEll<T
                 "slice {i}: bit width exceeds symbol width"
             )));
         }
+        let row_bits: u64 = bit_alloc.iter().map(|&b| u64::from(b)).sum();
+        if row_bits > syms_per_row as u64 * u64::from(S::BITS) {
+            return Err(payload(format!(
+                "slice {i}: bit_alloc needs {row_bits} bits, more than {syms_per_row} symbols"
+            )));
+        }
         let stream = get_syms::<S, _>(r)?;
-        if stream.len() != syms_per_row * height {
+        let stream_len = product(syms_per_row, height, "stream length")?;
+        if stream.len() != stream_len {
             return Err(SerializeError::Payload(format!(
-                "slice {i}: stream length {} != {}",
+                "slice {i}: stream length {} != {stream_len}",
                 stream.len(),
-                syms_per_row * height
             )));
         }
         let vals = get_vals::<T, _>(r)?;
-        if vals.len() != height * num_cols {
+        let vals_len = product(height, num_cols, "value length")?;
+        if vals.len() != vals_len {
             return Err(SerializeError::Payload(format!(
-                "slice {i}: value length {} != {}",
+                "slice {i}: value length {} != {vals_len}",
                 vals.len(),
-                height * num_cols
             )));
         }
-        total_rows += height;
-        slices.push(BroEllSlice {
-            height,
-            num_cols,
-            bit_alloc,
-            pad_bits,
-            syms_per_row,
-            stream,
-            vals,
-        });
+        let slice =
+            BroEllSlice { height, num_cols, bit_alloc, pad_bits, syms_per_row, stream, vals };
+        decoded_nnz += check_slice_columns(&slice, cols, &mut dec)
+            .map_err(|e| payload(format!("slice {i}: {e}")))?;
+        slices.push(slice);
     }
-    if total_rows != rows {
-        return Err(SerializeError::Payload(format!(
-            "slice heights sum to {total_rows}, expected {rows}"
-        )));
+    if decoded_nnz != nnz {
+        return Err(payload(format!("streams hold {decoded_nnz} entries, header says {nnz}")));
+    }
+    let widest = slices.iter().map(|s| s.num_cols).max().unwrap_or(0);
+    if ell_width != widest {
+        return Err(payload(format!("ell width {ell_width} != longest slice row {widest}")));
     }
     Ok(BroEll::from_parts(rows, cols, nnz, ell_width, slice_height, slices))
+}
+
+/// Decodes a slice's stream, one warp of `height` lanes, and checks that
+/// every row's columns stay below `cols` (deltas are unsigned, so they
+/// increase strictly as long as the sum does not overflow). Returns the
+/// number of entries.
+fn check_slice_columns<T: Scalar, S: Symbol>(
+    slice: &BroEllSlice<T, S>,
+    cols: usize,
+    dec: &mut WarpDecoder<S>,
+) -> std::result::Result<usize, String> {
+    if slice.num_cols == 0 {
+        return Ok(0);
+    }
+    dec.reset(slice.height);
+    // Per row: one past the last column decoded so far.
+    let mut next = vec![0u64; slice.height];
+    let mut entries = 0;
+    for (c, &bits) in slice.bit_alloc.iter().enumerate() {
+        dec.decode(&slice.stream, slice.height, 0, u32::from(bits));
+        for (row, (end, &d)) in next.iter_mut().zip(dec.deltas()).enumerate() {
+            if d != 0 {
+                *end = end
+                    .checked_add(d)
+                    .filter(|&e| e <= cols as u64)
+                    .ok_or_else(|| format!("row {row}, slot {c}: column past {cols}"))?;
+                entries += 1;
+            }
+        }
+    }
+    Ok(entries)
 }
 
 // --- BRO-COO ----------------------------------------------------------------
@@ -294,8 +352,8 @@ pub fn write_bro_coo<T: Scalar, S: Symbol, W: Write>(bro: &BroCoo<T, S>, w: &mut
 /// Reads a BRO-COO matrix from a binary stream.
 pub fn read_bro_coo<T: Scalar, S: Symbol, R: Read>(r: &mut R) -> Result<BroCoo<T, S>> {
     check_header(r, 2, T::BYTES as u8, (S::BITS / 8) as u8)?;
-    let rows = get_usize(r, "rows", LEN_CAP)?;
-    let cols = get_usize(r, "cols", LEN_CAP)?;
+    let rows = get_usize(r, "rows", DIM_CAP)?;
+    let cols = get_usize(r, "cols", DIM_CAP)?;
     let warp_size = get_usize(r, "warp size", 4096)?;
     if warp_size == 0 {
         return Err(SerializeError::Payload("zero warp size".into()));
@@ -319,6 +377,12 @@ pub fn read_bro_coo<T: Scalar, S: Symbol, R: Read>(r: &mut R) -> Result<BroCoo<T
             return Err(SerializeError::Payload(format!("interval {i}: bit width too large")));
         }
         let syms_per_lane = get_usize(r, "syms per lane", LEN_CAP)?;
+        let lane_bits = len.div_ceil(warp_size) as u64 * u64::from(bw[0]);
+        if lane_bits > syms_per_lane as u64 * u64::from(S::BITS) {
+            return Err(payload(format!(
+                "interval {i}: {lane_bits} bits per lane, more than {syms_per_lane} symbols"
+            )));
+        }
         let stream = get_syms::<S, _>(r)?;
         if stream.len() != syms_per_lane * warp_size {
             return Err(SerializeError::Payload(format!(
@@ -358,7 +422,46 @@ pub fn read_bro_coo<T: Scalar, S: Symbol, R: Read>(r: &mut R) -> Result<BroCoo<T
             vals.len()
         )));
     }
+    // Decoded only now: the column array has backed every interval length.
+    let mut dec = WarpDecoder::new();
+    let mut prev = None;
+    for (i, iv) in intervals.iter().enumerate() {
+        let cols_of_iv = &col_idx[iv.start..iv.start + iv.len];
+        check_interval_entries(iv, cols_of_iv, warp_size, rows, &mut prev, &mut dec)
+            .map_err(|e| payload(format!("interval {i}: {e}")))?;
+    }
     Ok(BroCoo::from_parts(rows, cols, warp_size, intervals, col_idx, vals))
+}
+
+/// Decodes an interval's row deltas, one warp-wide step at a time, and
+/// checks that every row stays below `rows` and that the entries, `prev`
+/// being the last one before the interval, are in strictly increasing
+/// (row, column) order.
+fn check_interval_entries<S: Symbol>(
+    iv: &BroCooInterval<S>,
+    cols: &[u32],
+    warp: usize,
+    rows: usize,
+    prev: &mut Option<(u64, u32)>,
+    dec: &mut WarpDecoder<S>,
+) -> std::result::Result<(), String> {
+    dec.reset(warp);
+    let mut row = u64::from(iv.base_row);
+    for (j, step_cols) in cols.chunks(warp).enumerate() {
+        dec.decode(&iv.stream, warp, 0, u32::from(iv.bit_width));
+        // Lanes past the interval's tail decode packing zeros.
+        for (&d, &col) in dec.deltas().iter().zip(step_cols) {
+            row = row
+                .checked_add(d)
+                .filter(|&r| r < rows as u64)
+                .ok_or_else(|| format!("step {j}: row past {rows}"))?;
+            if prev.is_some_and(|p| p >= (row, col)) {
+                return Err(format!("step {j}: entry ({row}, {col}) out of order"));
+            }
+            *prev = Some((row, col));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -460,6 +563,68 @@ mod tests {
         // Corrupt the rows field (offset 11: after magic + 3 tag bytes).
         buf[11] ^= 0x55;
         assert!(read_bro_ell::<f64, u32, _>(&mut &buf[..]).is_err());
+    }
+
+    fn reread_ell(bro: &BroEll<f64>) -> Result<BroEll<f64>> {
+        let mut buf = Vec::new();
+        write_bro_ell(bro, &mut buf).unwrap();
+        read_bro_ell(&mut &buf[..])
+    }
+
+    fn payload_error<M: std::fmt::Debug>(r: Result<M>, what: &str) {
+        match r {
+            Err(SerializeError::Payload(m)) => assert!(m.contains(what), "{m}"),
+            other => panic!("expected a payload error about {what}, got {other:?}"),
+        }
+    }
+
+    /// The header fields and slice streams a decoded stream must agree with.
+    #[test]
+    fn bro_ell_header_must_agree_with_the_streams() {
+        let bro: BroEll<f64> =
+            BroEll::from_coo(&matrix(), &BroEllConfig { slice_height: 32, ..Default::default() });
+        let (rows, cols, nnz, k) = (bro.rows(), bro.cols(), bro.nnz(), bro.ell_width());
+        let with = |rows, cols, nnz, k, h, slices| {
+            reread_ell(&BroEll::from_parts(rows, cols, nnz, k, h, slices))
+        };
+        let slices = bro.slices().to_vec();
+        payload_error(with(rows, cols, nnz + 1, k, 32, slices.clone()), "entries");
+        payload_error(with(rows, cols - 1, nnz, k, 32, slices.clone()), "column past");
+        payload_error(with(rows, cols, nnz, k + 1, 32, slices.clone()), "ell width");
+        // 169 rows in slices of 32: five full slices and one of 9.
+        payload_error(with(rows, cols, nnz, k, 16, slices.clone()), "slices of height");
+        let mut swapped = slices.clone();
+        swapped.swap(0, 5);
+        payload_error(with(rows, cols, nnz, k, 32, swapped), "height");
+        // A wider first column needs more bits than the stream holds.
+        let mut wide = slices;
+        wide[0].bit_alloc[0] = 32;
+        wide[0].bit_alloc[1] = 32;
+        payload_error(with(rows, cols, nnz, k, 32, wide), "bit_alloc needs");
+    }
+
+    #[test]
+    fn bro_coo_rows_must_stay_in_range_and_order() {
+        let bro: BroCoo<f64> = BroCoo::compress(&matrix(), &BroCooConfig::default());
+        let reread = |rows, col_idx: Vec<u32>| {
+            let parts = BroCoo::from_parts(
+                rows,
+                bro.cols(),
+                bro.warp_size(),
+                bro.intervals().to_vec(),
+                col_idx,
+                bro.values().to_vec(),
+            );
+            let mut buf = Vec::new();
+            write_bro_coo(&parts, &mut buf).unwrap();
+            read_bro_coo::<f64, u32, _>(&mut &buf[..])
+        };
+        assert!(reread(bro.rows(), bro.col_indices().to_vec()).is_ok());
+        payload_error(reread(bro.rows() - 1, bro.col_indices().to_vec()), "row past");
+        // Row 0 holds columns 0, 1 and 13; swapping two makes them unsorted.
+        let mut cols = bro.col_indices().to_vec();
+        cols.swap(0, 1);
+        payload_error(reread(bro.rows(), cols), "out of order");
     }
 
     #[test]

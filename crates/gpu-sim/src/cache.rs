@@ -10,6 +10,8 @@
 /// Each set keeps its tags in recency order, most recently used first, so a
 /// hit moves its way to the front and a miss drops the last way. This holds
 /// exactly the lines a per-way timestamp LRU would hold after every access.
+/// An access first checks the set's MRU way: neighbouring lanes of a warp
+/// usually read the same line, and a hit there leaves the order as it is.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     sets: usize,
@@ -85,18 +87,35 @@ impl SetAssocCache {
             return false;
         }
         let line = addr >> self.line_shift;
-        let set = self.set_of(line);
-        let ways = &mut self.tags[set * self.assoc..(set + 1) * self.assoc];
-        if let Some(k) = ways.iter().position(|&tag| tag == line) {
-            ways[..=k].rotate_right(1);
+        let first = self.set_of(line) * self.assoc;
+        if self.tags[first] == line {
             self.hits += 1;
-            true
-        } else {
-            ways.rotate_right(1);
-            ways[0] = line;
-            self.misses += 1;
-            false
+            return true;
         }
+        self.access_behind_mru(first, line)
+    }
+
+    /// [`access`](Self::access) past the MRU way of the set whose ways start
+    /// at `first`: the hit way, or on a miss the LRU way, takes the line to
+    /// the front and the ways before it age by one. Written without
+    /// data-dependent branches; a miss here is common and unpredictable.
+    #[inline]
+    fn access_behind_mru(&mut self, first: usize, line: u64) -> bool {
+        let ways = &mut self.tags[first..first + self.assoc];
+        let mut k = ways.len() - 1;
+        let mut hit = false;
+        for w in (1..ways.len()).rev() {
+            let found = ways[w] == line;
+            k = if found { w } else { k };
+            hit |= found;
+        }
+        for w in (1..ways.len()).rev() {
+            ways[w] = if w <= k { ways[w - 1] } else { ways[w] };
+        }
+        ways[0] = line;
+        self.hits += u64::from(hit);
+        self.misses += u64::from(!hit);
+        hit
     }
 
     /// Number of hits so far.

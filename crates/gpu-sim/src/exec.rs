@@ -8,9 +8,10 @@
 //! deterministic.
 //!
 //! Inside a block, the kernel narrates its work to the [`BlockCtx`]:
-//! warp-level memory instructions (with the byte addresses of the active
-//! lanes) and arithmetic operation counts. The context performs coalescing,
-//! drives the texture cache, and accumulates [`LaunchStats`].
+//! warp-level memory instructions (the byte address of each active lane,
+//! given lane by lane or as a slice) and arithmetic operation counts. The
+//! context coalesces each instruction's lanes as they arrive, drives the
+//! texture cache, and accumulates [`LaunchStats`].
 
 use rayon::prelude::*;
 
@@ -282,31 +283,30 @@ impl DeviceSim {
         let mut per_sm: Vec<(Vec<(usize, O)>, LaunchStats)> = (0..sms)
             .into_par_iter()
             .map(|sm| {
-                let mut cache = SetAssocCache::new(
-                    self.profile.tex_cache_bytes,
-                    self.profile.tex_line_bytes,
-                    self.profile.tex_assoc,
-                );
-                let mut stats = LaunchStats::default();
-                let mut seg_scratch = Vec::with_capacity(warp * 2);
+                // One context per SM: its blocks run in turn against the
+                // SM's texture cache.
+                let mut ctx = BlockCtx {
+                    block_id: sm,
+                    threads: threads_per_block,
+                    warp_size: warp,
+                    txn_bytes: self.profile.txn_bytes as u64,
+                    hwm,
+                    stats: LaunchStats::default(),
+                    cache: SetAssocCache::new(
+                        self.profile.tex_cache_bytes,
+                        self.profile.tex_line_bytes,
+                        self.profile.tex_assoc,
+                    ),
+                    spill: Vec::with_capacity(2 * warp),
+                };
                 let mut outs = Vec::new();
                 let mut block = sm;
                 while block < blocks {
-                    let mut ctx = BlockCtx {
-                        block_id: block,
-                        threads: threads_per_block,
-                        warp_size: warp,
-                        txn_bytes: self.profile.txn_bytes as u64,
-                        txn_shift: self.profile.txn_bytes.trailing_zeros(),
-                        hwm,
-                        stats: &mut stats,
-                        cache: &mut cache,
-                        seg_scratch: &mut seg_scratch,
-                    };
-                    let out = f(block, &mut ctx);
-                    outs.push((block, out));
+                    ctx.block_id = block;
+                    outs.push((block, f(block, &mut ctx)));
                     block += sms;
                 }
+                let BlockCtx { mut stats, cache, .. } = ctx;
                 stats.blocks_launched = outs.len() as u64;
                 stats.warps_launched = outs.len() as u64 * warps_per_block;
                 stats.tex_accesses = cache.hits() + cache.misses();
@@ -337,22 +337,208 @@ impl DeviceSim {
     }
 }
 
-/// Per-block execution context handed to kernels.
-pub struct BlockCtx<'a> {
+/// Counts the memory transactions of one warp instruction as its lanes
+/// arrive: the number of distinct `txn_bytes` segments that
+/// `[addr, addr + elem_bytes)` covers over the lanes.
+///
+/// Lanes almost always ascend. Then each lane's segments start at or after
+/// every earlier lane's, so the counted segments that can overlap the new
+/// lane are exactly those from its first one up to the previous lane's last
+/// one, and the count runs in one pass. The counted segments form runs; a
+/// run is written to the spill only when a gap ends it, so contiguous lanes
+/// touch no memory. A lane below its predecessor switches the instruction
+/// to the fallback: spill every segment, then count the distinct ones.
+#[derive(Debug, Clone, Copy)]
+struct Coalescer {
+    txn_shift: u32,
+    elem_bytes: u64,
+    /// The previous lane's address (0 before the first lane), or
+    /// [`UNORDERED`] once a lane came below its predecessor.
+    prev: u64,
+    /// The counted segments `run_start..next_seg` not yet spilled.
+    run_start: u64,
+    next_seg: u64,
+    txns: u64,
+    /// Lanes so far, for the debug checks.
+    lanes: u64,
+}
+
+/// [`Coalescer::prev`] of an instruction on the fallback.
+const UNORDERED: u64 = u64::MAX;
+
+impl Coalescer {
+    fn new(txn_shift: u32, elem_bytes: u64) -> Self {
+        debug_assert!(elem_bytes > 0, "memory accesses move at least one byte per lane");
+        Coalescer { txn_shift, elem_bytes, prev: 0, run_start: 0, next_seg: 0, txns: 0, lanes: 0 }
+    }
+
+    /// Adds `lanes` lanes whose elements together cover `[a, a + bytes)`:
+    /// one lane, or consecutive lanes reading consecutive elements, whose
+    /// segments are those of the whole span.
+    #[inline]
+    fn push(&mut self, a: u64, bytes: u64, lanes: u64, spill: &mut Vec<u64>) {
+        let first = a >> self.txn_shift;
+        let end = ((a + bytes - 1) >> self.txn_shift) + 1;
+        self.lanes += lanes;
+        if a >= self.prev {
+            if end > self.next_seg {
+                if first > self.next_seg {
+                    spill.extend(self.run_start..self.next_seg);
+                    self.run_start = first;
+                }
+                self.txns += end - first.max(self.next_seg);
+                self.next_seg = end;
+            }
+            self.prev = a;
+        } else {
+            if self.prev != UNORDERED {
+                self.prev = UNORDERED;
+                spill.extend(self.run_start..self.next_seg);
+            }
+            spill.extend(first..end);
+        }
+    }
+
+    /// Whether no lane was added.
+    fn is_empty(&self) -> bool {
+        self.txns == 0 && self.prev != UNORDERED
+    }
+
+    /// The instruction's transaction count; `spill` holds what
+    /// [`push`](Self::push) spilled.
+    fn finish(&self, spill: &mut Vec<u64>) -> u64 {
+        let txns = if self.prev != UNORDERED {
+            self.txns
+        } else {
+            spill.sort_unstable();
+            spill.dedup();
+            spill.len() as u64
+        };
+        // Coalescing sanity: a non-empty warp instruction needs at least one
+        // transaction and at most one per segment its lanes can span.
+        debug_assert!(txns >= 1);
+        debug_assert!(
+            txns <= self.lanes * (self.elem_bytes.div_ceil(1 << self.txn_shift) + 1),
+            "coalescing produced {txns} transactions for {} lanes of {} B",
+            self.lanes,
+            self.elem_bytes,
+        );
+        txns
+    }
+}
+
+/// Per-block execution context handed to kernels. The blocks of one SM
+/// share it in turn, with the SM's statistics and texture cache.
+pub struct BlockCtx {
     block_id: usize,
     threads: usize,
     warp_size: usize,
     txn_bytes: u64,
-    txn_shift: u32,
     hwm: u64,
-    stats: &'a mut LaunchStats,
-    cache: &'a mut SetAssocCache,
-    /// Segment or address scratch for unordered lanes, shared by the blocks
-    /// of one SM.
-    seg_scratch: &'a mut Vec<u64>,
+    stats: LaunchStats,
+    cache: SetAssocCache,
+    /// Segments spilled by the open warp memory instruction.
+    spill: Vec<u64>,
 }
 
-impl BlockCtx<'_> {
+/// Debug-build bounds check for a simulated memory access.
+///
+/// Active only when the device has real allocations (high watermark above
+/// [`BASE_ADDR`]); launches that narrate raw synthetic addresses without
+/// allocating — common in micro-tests — are exempt.
+#[inline]
+fn check_bounds(hwm: u64, a: u64, elem_bytes: u64, what: &str) {
+    if cfg!(debug_assertions) && hwm > BASE_ADDR {
+        assert!(
+            a >= BASE_ADDR && a + elem_bytes <= hwm,
+            "simulated {what} out of bounds: [{:#x}, {:#x}) outside the allocated \
+             device range [{:#x}, {:#x})",
+            a,
+            a + elem_bytes,
+            BASE_ADDR,
+            hwm,
+        );
+    }
+}
+
+/// One warp-level global memory instruction, narrated lane by lane: add
+/// each active lane with [`lane`](WarpAccess::lane) (inactive lanes are
+/// simply not added), then charge it with [`end`](WarpAccess::end). While
+/// it is open, the lanes' texture reads go through
+/// [`tex_lane`](WarpAccess::tex_lane), so a kernel can load, read `x` and
+/// multiply-add in one pass over the warp.
+#[must_use = "a warp access is charged by `end`"]
+pub struct WarpAccess<'a> {
+    stats: &'a mut LaunchStats,
+    spill: &'a mut Vec<u64>,
+    tex: &'a mut SetAssocCache,
+    hwm: u64,
+    warp_size: usize,
+    txn_bytes: u64,
+    coalescer: Coalescer,
+    store: bool,
+}
+
+impl WarpAccess<'_> {
+    /// Adds the byte address of one active lane.
+    #[inline]
+    pub fn lane(&mut self, addr: u64) {
+        self.lanes(addr, 1);
+    }
+
+    /// Adds `n` active lanes that read consecutive elements, the first at
+    /// byte address `addr`; the same as `n` calls of
+    /// [`lane`](Self::lane) with ascending addresses.
+    #[inline]
+    pub fn lanes(&mut self, addr: u64, n: usize) {
+        if n == 0 {
+            return;
+        }
+        let bytes = n as u64 * self.coalescer.elem_bytes;
+        let what = if self.store { "global store" } else { "global load" };
+        check_bounds(self.hwm, addr, bytes, what);
+        self.coalescer.push(addr, bytes, n as u64, self.spill);
+    }
+
+    /// One lane's texture read; see [`BlockCtx::tex_lane`].
+    #[inline]
+    pub fn tex_lane(&mut self, addr: u64, elem_bytes: u64) {
+        check_bounds(self.hwm, addr, elem_bytes, "texture read");
+        self.tex.access(addr);
+    }
+
+    /// Charges the instruction; an instruction with no active lane is free.
+    pub fn end(self) {
+        let c = self.coalescer;
+        if c.is_empty() {
+            return;
+        }
+        debug_assert!(
+            c.lanes <= self.warp_size as u64,
+            "a warp instruction has at most warp_size active lanes"
+        );
+        let txns = c.finish(self.spill);
+        let stats = self.stats;
+        let (instrs, txn_count, bytes) = if self.store {
+            (
+                &mut stats.global_store_instrs,
+                &mut stats.global_write_txns,
+                &mut stats.global_write_bytes,
+            )
+        } else {
+            (
+                &mut stats.global_load_instrs,
+                &mut stats.global_read_txns,
+                &mut stats.global_read_bytes,
+            )
+        };
+        *instrs += 1;
+        *txn_count += txns;
+        *bytes += txns * self.txn_bytes;
+    }
+}
+
+impl BlockCtx {
     /// This block's index within the grid.
     pub fn block_id(&self) -> usize {
         self.block_id
@@ -368,104 +554,49 @@ impl BlockCtx<'_> {
         self.warp_size
     }
 
-    /// Debug-build bounds check for every simulated memory access.
-    ///
-    /// Active only when the device has real allocations (high watermark
-    /// above [`BASE_ADDR`]); launches that narrate raw synthetic addresses
-    /// without allocating — common in micro-tests — are exempt.
-    fn check_bounds(&self, addrs: &[u64], elem_bytes: u64, what: &str) {
-        if !cfg!(debug_assertions) || self.hwm <= BASE_ADDR {
-            return;
-        }
-        for &a in addrs {
-            assert!(
-                a >= BASE_ADDR && a + elem_bytes <= self.hwm,
-                "simulated {what} out of bounds: [{:#x}, {:#x}) outside the \
-                 allocated device range [{:#x}, {:#x})",
-                a,
-                a + elem_bytes,
-                BASE_ADDR,
-                self.hwm,
-            );
+    fn access(&mut self, elem_bytes: u64, store: bool) -> WarpAccess<'_> {
+        self.spill.clear();
+        WarpAccess {
+            stats: &mut self.stats,
+            spill: &mut self.spill,
+            tex: &mut self.cache,
+            hwm: self.hwm,
+            warp_size: self.warp_size,
+            txn_bytes: self.txn_bytes,
+            coalescer: Coalescer::new(self.txn_bytes.trailing_zeros(), elem_bytes),
+            store,
         }
     }
 
-    /// Counts the memory transactions needed by one warp instruction whose
-    /// active lanes touch `[addr, addr + elem_bytes)` for each given address:
-    /// the number of distinct `txn_bytes` segments they cover.
-    fn coalesce(&mut self, addrs: &[u64], elem_bytes: u64) -> u64 {
-        debug_assert!(
-            addrs.len() <= self.warp_size,
-            "a warp instruction has at most warp_size active lanes"
-        );
-        debug_assert!(elem_bytes > 0, "memory accesses move at least one byte per lane");
-        let shift = self.txn_shift;
-        let span = |a: u64| (a >> shift, (a + elem_bytes - 1) >> shift);
-        // Lanes almost always ascend. Then each lane's segments start at or
-        // after every earlier lane's, so the segments already counted that
-        // can overlap this lane are exactly `first..=top`.
-        let (first, mut top) = span(addrs[0]);
-        let mut txns = top - first + 1;
-        let mut prev = addrs[0];
-        for &a in &addrs[1..] {
-            if a < prev {
-                txns = self.coalesce_unordered(addrs, span);
-                break;
-            }
-            prev = a;
-            let (first, last) = span(a);
-            if last > top {
-                txns += last - first.max(top + 1) + 1;
-                top = last;
-            }
-        }
-        // Coalescing sanity: a non-empty warp instruction needs at least one
-        // transaction and at most one per segment its lanes can span.
-        debug_assert!(txns >= 1);
-        debug_assert!(
-            txns <= addrs.len() as u64 * (elem_bytes.div_ceil(self.txn_bytes) + 1),
-            "coalescing produced {txns} transactions for {} lanes of {elem_bytes} B",
-            addrs.len(),
-        );
-        txns
+    /// Opens a warp-level global **load** moving `elem_bytes` per lane.
+    #[inline]
+    pub fn load(&mut self, elem_bytes: u64) -> WarpAccess<'_> {
+        self.access(elem_bytes, false)
     }
 
-    /// [`coalesce`](Self::coalesce) for lanes in arbitrary order: collect
-    /// every segment, then count the distinct ones.
-    fn coalesce_unordered(&mut self, addrs: &[u64], span: impl Fn(u64) -> (u64, u64)) -> u64 {
-        self.seg_scratch.clear();
-        for &a in addrs {
-            let (first, last) = span(a);
-            self.seg_scratch.extend(first..=last);
-        }
-        self.seg_scratch.sort_unstable();
-        self.seg_scratch.dedup();
-        self.seg_scratch.len() as u64
+    /// Opens a warp-level global **store** moving `elem_bytes` per lane.
+    #[inline]
+    pub fn store(&mut self, elem_bytes: u64) -> WarpAccess<'_> {
+        self.access(elem_bytes, true)
     }
 
     /// One warp-level global **load** instruction. `addrs` holds the byte
     /// addresses of the active lanes (inactive lanes are simply omitted).
     pub fn global_read(&mut self, addrs: &[u64], elem_bytes: u64) {
-        if addrs.is_empty() {
-            return;
+        let mut warp = self.load(elem_bytes);
+        for &a in addrs {
+            warp.lane(a);
         }
-        self.check_bounds(addrs, elem_bytes, "global load");
-        let txns = self.coalesce(addrs, elem_bytes);
-        self.stats.global_load_instrs += 1;
-        self.stats.global_read_txns += txns;
-        self.stats.global_read_bytes += txns * self.txn_bytes;
+        warp.end();
     }
 
     /// One warp-level global **store** instruction.
     pub fn global_write(&mut self, addrs: &[u64], elem_bytes: u64) {
-        if addrs.is_empty() {
-            return;
+        let mut warp = self.store(elem_bytes);
+        for &a in addrs {
+            warp.lane(a);
         }
-        self.check_bounds(addrs, elem_bytes, "global store");
-        let txns = self.coalesce(addrs, elem_bytes);
-        self.stats.global_store_instrs += 1;
-        self.stats.global_write_txns += txns;
-        self.stats.global_write_bytes += txns * self.txn_bytes;
+        warp.end();
     }
 
     /// One warp-level atomic read-modify-write. Each distinct address costs
@@ -478,21 +609,31 @@ impl BlockCtx<'_> {
             addrs.len() <= self.warp_size,
             "a warp atomic has at most warp_size active lanes"
         );
-        self.check_bounds(addrs, 1, "atomic");
-        self.seg_scratch.clear();
-        self.seg_scratch.extend_from_slice(addrs);
-        self.seg_scratch.sort_unstable();
-        self.seg_scratch.dedup();
-        let n = self.seg_scratch.len() as u64;
+        for &a in addrs {
+            check_bounds(self.hwm, a, 1, "atomic");
+        }
+        let distinct = &mut self.spill;
+        distinct.clear();
+        distinct.extend_from_slice(addrs);
+        distinct.sort_unstable();
+        distinct.dedup();
+        let n = distinct.len() as u64;
         self.stats.atomic_txns += n;
         self.stats.atomic_bytes += n * 32;
     }
 
-    /// Per-lane reads of the input vector through the texture cache.
-    pub fn tex_read(&mut self, addrs: &[u64]) {
-        self.check_bounds(addrs, 1, "texture read");
+    /// One lane's read of an `elem_bytes` element of the input vector
+    /// through the SM's texture cache.
+    #[inline]
+    pub fn tex_lane(&mut self, addr: u64, elem_bytes: u64) {
+        check_bounds(self.hwm, addr, elem_bytes, "texture read");
+        self.cache.access(addr);
+    }
+
+    /// Per-lane texture reads of `elem_bytes` elements, in lane order.
+    pub fn tex_read(&mut self, addrs: &[u64], elem_bytes: u64) {
         for &a in addrs {
-            self.cache.access(a);
+            self.tex_lane(a, elem_bytes);
         }
     }
 
@@ -602,8 +743,8 @@ mod tests {
         // Two blocks land on different SMs (round-robin), so the same
         // address misses twice; within a block the second read hits.
         s.launch(2, 32, |_, ctx| {
-            ctx.tex_read(&[0x100]);
-            ctx.tex_read(&[0x100]);
+            ctx.tex_read(&[0x100], 8);
+            ctx.tex_read(&[0x100], 8);
         });
         assert_eq!(s.stats().tex_misses, 2);
         assert_eq!(s.stats().tex_hits, 2);
@@ -616,7 +757,7 @@ mod tests {
         // 14 SMs on the C2070: blocks 0 and 14 run on SM 0 sequentially.
         s.launch(15, 32, |b, ctx| {
             if b == 0 || b == 14 {
-                ctx.tex_read(&[0x100]);
+                ctx.tex_read(&[0x100], 8);
             }
         });
         assert_eq!(s.stats().tex_misses, 1);
@@ -655,7 +796,7 @@ mod tests {
             s.launch(37, 256, |b, ctx| {
                 let addrs: Vec<u64> = (0..32).map(|i| (b as u64 * 37 + i * 8) % 4096).collect();
                 ctx.global_read(&addrs, 8);
-                ctx.tex_read(&addrs);
+                ctx.tex_read(&addrs, 8);
                 ctx.flops(b as u64);
             });
             s.stats().clone()
@@ -683,7 +824,7 @@ mod tests {
                 let outs = s.launch(53, 128, |b, ctx| {
                     let addrs: Vec<u64> =
                         (0..32).map(|i| (b as u64 * 13 + i) * 32 % 8192).collect();
-                    ctx.tex_read(&addrs);
+                    ctx.tex_read(&addrs, 4);
                     ctx.global_read(&addrs, 4);
                     b * 3
                 });
@@ -722,7 +863,7 @@ mod tests {
             let addrs: Vec<u64> = (0..32).map(|i| buf.addr(i)).collect();
             ctx.global_read(&addrs, 8);
             ctx.global_write(&addrs[..4], 8);
-            ctx.tex_read(&addrs);
+            ctx.tex_read(&addrs, 8);
             ctx.atomic_rmw(&addrs[..2]);
         });
         assert!(s.stats().global_read_txns > 0);
@@ -757,7 +898,19 @@ mod tests {
         let mut s = sim();
         let buf = s.alloc(4, 8);
         s.launch(1, 32, |_, ctx| {
-            ctx.tex_read(&[buf.base + (1 << 20)]);
+            ctx.tex_read(&[buf.base + (1 << 20)], 8);
+        });
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "texture read out of bounds")]
+    fn tex_element_straddling_the_heap_end_panics_in_debug() {
+        let mut s = sim();
+        let buf = s.alloc(32, 8); // exactly 256 B: the heap ends at the buffer's end
+        s.launch(1, 32, |_, ctx| {
+            // Its first byte is inside the heap, its last four are past it.
+            ctx.tex_lane(buf.addr(31) + 4, 8);
         });
     }
 
@@ -768,7 +921,7 @@ mod tests {
         let mut s = sim();
         s.launch(1, 32, |_, ctx| {
             ctx.global_read(&[0, 128, 1 << 40], 8);
-            ctx.tex_read(&[42]);
+            ctx.tex_read(&[42], 8);
         });
         assert!(s.stats().global_read_txns >= 3);
     }
@@ -900,7 +1053,7 @@ mod tests {
             s.launch(7, 64, |b, ctx| {
                 let addrs: Vec<u64> = (0..32).map(|i| (b as u64 * 7 + i) * 8 % 2048).collect();
                 ctx.global_read(&addrs, 8);
-                ctx.tex_read(&addrs);
+                ctx.tex_read(&addrs, 8);
                 ctx.flops(b as u64);
             });
             s.trace_end(span);

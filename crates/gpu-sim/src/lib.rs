@@ -40,7 +40,7 @@ pub use buffer::{AddrSpace, BufferAddr, BASE_ADDR};
 pub use cache::SetAssocCache;
 pub use chrome::chrome_trace_json;
 pub use device::DeviceProfile;
-pub use exec::{BlockCtx, DeviceSim, DeviceSimBuilder};
+pub use exec::{BlockCtx, DeviceSim, DeviceSimBuilder, WarpAccess};
 pub use json::Json;
 pub use metrics::{Metric, MetricsRegistry};
 pub use stats::{LaunchStats, StatsSnapshot};

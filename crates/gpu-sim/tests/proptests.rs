@@ -1,6 +1,6 @@
 //! Property-based tests of the simulator's accounting invariants.
 
-use bro_gpu_sim::{DeviceProfile, DeviceSim, KernelReport, SetAssocCache};
+use bro_gpu_sim::{BlockCtx, DeviceProfile, DeviceSim, KernelReport, SetAssocCache};
 use proptest::prelude::*;
 
 /// Reference LRU: per-way last-use stamps, evicting the minimum stamp
@@ -121,33 +121,48 @@ proptest! {
     }
 
     /// The move-to-front cache hits and misses exactly where the stamp LRU
-    /// does, on every access.
+    /// does, on every access. Besides scattered and windowed accesses the
+    /// sequences repeat the previous line (an MRU hit, like neighbouring
+    /// lanes of a warp), and ping-pong between lines of one set, which moves
+    /// every way.
     #[test]
     fn cache_matches_stamp_lru(
         geometry in 0..GEOMETRIES.len(),
-        accesses in prop::collection::vec((0..REGIONS.len(), 0u64..32 * 1024, 0u64..4), 1..3000),
+        accesses in prop::collection::vec((0..REGIONS.len(), 0u64..32 * 1024, 0u64..6), 1..3000),
     ) {
         let (capacity, line, assoc) = GEOMETRIES[geometry];
         let mut fast = SetAssocCache::new(capacity, line, assoc);
         let mut oracle = StampLru::new(capacity, line, assoc);
-        for (i, &(region, offset, narrow)) in accesses.iter().enumerate() {
-            // Narrow accesses revisit a small window, so hits are common.
-            let offset = if narrow == 0 { offset % 2048 } else { offset };
-            let addr = REGIONS[region] + offset;
+        // One set's stride: lines `k · sets` apart all map to the same set.
+        let set_stride = (fast.sets().max(1) * line) as u64;
+        let mut prev = REGIONS[0];
+        for (i, &(region, offset, kind)) in accesses.iter().enumerate() {
+            let addr = match kind {
+                // Narrow accesses revisit a small window, so hits are common.
+                0 => REGIONS[region] + offset % 2048,
+                // The previous access's line again.
+                1 | 2 => prev - prev % line as u64 + offset % line as u64,
+                // One of assoc + 1 lines of one set.
+                3 => REGIONS[region] + (offset % (assoc as u64 + 1)) * set_stride,
+                _ => REGIONS[region] + offset,
+            };
             prop_assert_eq!(fast.access(addr), oracle.access(addr), "access {} at {:#x}", i, addr);
+            prev = addr;
         }
         prop_assert_eq!(fast.hits() + fast.misses(), accesses.len() as u64);
     }
 
     /// One-pass coalescing counts the same transactions as sort + dedup, for
-    /// lanes in order, reversed, duplicated or shuffled, and for elements
-    /// of 1 to 256 bytes straddling segment boundaries.
+    /// lanes in order, reversed, duplicated or shuffled, spread out and then
+    /// stepping back, and for elements of 1 to 256 bytes straddling segment
+    /// boundaries; whether the lanes come as a slice or one by one between
+    /// other lanes' texture reads.
     #[test]
     fn coalescing_matches_sort_dedup(
         base in 0u64..4096,
         offsets in prop::collection::vec(0u64..1024, 1..=32),
         elem_bytes in 1u64..=256,
-        pattern in 0u8..5,
+        pattern in 0u8..6,
     ) {
         let mut addrs: Vec<u64> = offsets.iter().map(|&o| base + o).collect();
         match pattern {
@@ -162,7 +177,13 @@ proptest! {
                 addrs.sort_unstable();
                 addrs = addrs.iter().flat_map(|&a| [a, a]).collect();
             }
-            _ => addrs = (0..offsets.len() as u64).map(|i| base + i * elem_bytes).collect(),
+            4 => addrs = (0..offsets.len() as u64).map(|i| base + i * elem_bytes).collect(),
+            _ => {
+                // Ascending lanes with gaps between their segments, then a
+                // lane below them all: the fallback must recall every run.
+                addrs = (0..offsets.len().min(31) as u64).map(|i| base + i * 300).collect();
+                addrs.push(base / 2);
+            }
         }
         let mut sim = DeviceSim::new(DeviceProfile::tesla_k20());
         let a = addrs.clone();
@@ -173,6 +194,24 @@ proptest! {
         let expect = distinct_segments(&addrs, elem_bytes, 128);
         prop_assert_eq!(sim.stats().global_read_txns, expect, "lanes {:?}", addrs);
         prop_assert_eq!(sim.stats().global_write_txns, expect);
+
+        let mut streamed = DeviceSim::new(DeviceProfile::tesla_k20());
+        let a = addrs.clone();
+        streamed.launch(1, 32, move |_, ctx| {
+            for open in [BlockCtx::load, BlockCtx::store] {
+                let mut warp = open(ctx, elem_bytes);
+                for &lane in &a {
+                    warp.lane(lane);
+                    warp.tex_lane(lane, elem_bytes);
+                }
+                warp.end();
+            }
+        });
+        let got = streamed.stats();
+        prop_assert_eq!(got.global_read_txns, expect);
+        prop_assert_eq!(got.global_write_txns, expect);
+        prop_assert_eq!(got.global_load_instrs + got.global_store_instrs, 2);
+        prop_assert_eq!(got.tex_accesses, 2 * addrs.len() as u64);
     }
 
     /// Repeating an access sequence entirely within capacity yields 100%

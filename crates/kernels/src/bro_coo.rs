@@ -9,12 +9,11 @@
 //! scan plus the extra kernel are why the paper expects (and gets) smaller
 //! speedups from BRO-COO than from BRO-ELL.
 
-use bro_bitstream::Symbol;
+use bro_bitstream::{Symbol, WarpDecoder};
 use bro_core::BroCoo;
 use bro_gpu_sim::DeviceSim;
 use bro_matrix::Scalar;
 
-use crate::bro_ell::LaneDecoder;
 use crate::common::{apply_updates, AddrBatch};
 use crate::BLOCK_SIZE;
 
@@ -61,15 +60,14 @@ pub fn bro_coo_spmv<T: Scalar, W: Symbol>(
         sim.launch(blocks, warps_per_block * warp, |b, ctx| {
             let mut direct: Vec<(u32, T)> = Vec::new();
             let mut carries: Vec<(u32, T)> = Vec::new();
-            let mut batch = AddrBatch::new();
-            let mut decoders: Vec<LaneDecoder<W>> = Vec::with_capacity(warp);
+            let mut dec = WarpDecoder::<W>::new();
             let mut rows_decoded: Vec<u32> = Vec::new();
+            let elem = T::BYTES as u64;
             for wi in 0..warps_per_block {
                 let iv_idx = b * warps_per_block + wi;
                 let Some(iv) = intervals.get(iv_idx) else { break };
                 let steps = iv.len.div_ceil(warp);
-                decoders.clear();
-                decoders.resize_with(warp, LaneDecoder::new);
+                dec.reset(warp);
                 let bw = iv.bit_width as u32;
                 let mut acc = iv.base_row as u64;
 
@@ -78,47 +76,34 @@ pub fn bro_coo_spmv<T: Scalar, W: Symbol>(
                 rows_decoded.clear();
                 for j in 0..steps {
                     let lanes = (iv.len - j * warp).min(warp);
-                    // Warp-uniform refill test.
+                    // Warp-uniform refill: one coalesced load of a stream row.
+                    if let Some(sym) = dec.decode(&iv.stream, warp, 0, bw) {
+                        let mut load = ctx.load(W::BITS as u64 / 8);
+                        load.lanes(stream_bufs[iv_idx].addr(sym * warp), warp);
+                        load.end();
+                    }
                     if bw > 0 {
-                        let refill = bw > decoders[0].buffered();
-                        if refill {
-                            batch.clear();
-                            let sym_idx = decoders[0].next_sym();
-                            for l in 0..warp {
-                                batch.push(stream_bufs[iv_idx], sym_idx * warp + l);
-                            }
-                            ctx.global_read(batch.addrs(), W::BITS as u64 / 8);
-                        }
                         ctx.int_ops(DECODE_OPS * lanes as u64);
                     }
-                    // Decode deltas; lanes beyond the tail packed zeros.
-                    for (l, dec) in decoders.iter_mut().enumerate() {
-                        let d = if bw == 0 { 0 } else { dec.read(&iv.stream, warp, l, bw) };
-                        if j * warp + l < iv.len {
-                            acc += d;
-                            rows_decoded.push(acc as u32);
-                        }
+                    // Lanes past the interval's tail decode packing zeros.
+                    for &d in &dec.deltas()[..lanes] {
+                        acc += d;
+                        rows_decoded.push(acc as u32);
                     }
                     // Warp inclusive scan to distribute absolute rows.
                     ctx.warp_ops(2 * warp.ilog2() as u64 * lanes as u64);
 
                     // Coalesced col/val loads and x gather.
                     let base = iv.start + j * warp;
-                    batch.clear();
-                    for l in 0..lanes {
-                        batch.push(col_buf, base + l);
+                    let mut load = ctx.load(4);
+                    load.lanes(col_buf.addr(base), lanes);
+                    load.end();
+                    let mut vals = ctx.load(elem);
+                    vals.lanes(val_buf.addr(base), lanes);
+                    for &col in &cols_arr[base..base + lanes] {
+                        vals.tex_lane(x_buf.addr(col as usize), elem);
                     }
-                    ctx.global_read(batch.addrs(), 4);
-                    batch.clear();
-                    for l in 0..lanes {
-                        batch.push(val_buf, base + l);
-                    }
-                    ctx.global_read(batch.addrs(), T::BYTES as u64);
-                    batch.clear();
-                    for l in 0..lanes {
-                        batch.push(x_buf, cols_arr[base + l] as usize);
-                    }
-                    ctx.tex_read(batch.addrs());
+                    vals.end();
                     ctx.flops(2 * lanes as u64);
                     // Segmented reduction per step.
                     ctx.warp_ops(warp.ilog2() as u64 * lanes as u64);
@@ -150,16 +135,16 @@ pub fn bro_coo_spmv<T: Scalar, W: Symbol>(
                 flush(seg_row, seg_sum, &mut direct, &mut carries);
 
                 for group in direct.chunks(warp) {
-                    batch.clear();
+                    let mut store = ctx.store(elem);
                     for &(r, _) in group {
-                        batch.push(y_buf, r as usize);
+                        store.lane(y_buf.addr(r as usize));
                     }
-                    ctx.global_write(batch.addrs(), T::BYTES as u64);
+                    store.end();
                 }
-                batch.clear();
-                batch.push(carry_buf, iv_idx * 2);
-                batch.push(carry_buf, iv_idx * 2 + 1);
-                ctx.global_write(batch.addrs(), (4 + T::BYTES) as u64);
+                let mut store = ctx.store(4 + elem);
+                store.lane(carry_buf.addr(iv_idx * 2));
+                store.lane(carry_buf.addr(iv_idx * 2 + 1));
+                store.end();
             }
             (direct, carries)
         });

@@ -8,18 +8,24 @@
 //! stream (`stream[next_sym · h + tid]`). This is the paper's central
 //! argument for why the scheme suits SIMT hardware.
 //!
+//! The simulator decodes the same way: one [`WarpDecoder`] per warp holds
+//! a single `rb` and next-symbol index plus one buffered symbol per lane,
+//! so the refill branch is taken once per warp and column. A lane then
+//! loads its value, reads `x` through the texture cache and multiply-adds
+//! in a single pass over the warp.
+//!
 //! Deviation from the paper's pseudocode: the refill test is `b ≤ rb`
 //! rather than `b < rb`, i.e. a new symbol is loaded lazily instead of
 //! eagerly when the buffer is exactly exhausted. The decoded values and the
 //! total number of loads are identical; laziness merely avoids reading one
 //! symbol past the end of a fully consumed stream.
 
-use bro_bitstream::Symbol;
-use bro_core::BroEll;
+use bro_bitstream::{Symbol, WarpDecoder};
+use bro_core::{BroEll, BroEllSlice};
 use bro_gpu_sim::{BlockCtx, BufferAddr, DeviceSim};
 use bro_matrix::Scalar;
 
-use crate::common::{assemble_rows, AddrBatch};
+use crate::common::assemble_rows;
 
 /// Integer-op cost charged per lane and iteration when decoding from the
 /// buffer (compare, extract, shift, accumulate, validity test).
@@ -27,57 +33,6 @@ pub const DECODE_OPS_HIT: u64 = 5;
 /// Additional integer-op cost per lane when a refill is needed (address
 /// computation, splice of the two buffer parts).
 pub const DECODE_OPS_REFILL: u64 = 4;
-
-/// Per-lane decoder replicating Algorithm 1's `(sym, rb)` state machine,
-/// reading the multiplexed stream in place (symbol `c` of lane `r` lives at
-/// `stream[c · h + r]`).
-pub(crate) struct LaneDecoder<W: Symbol> {
-    sym: W,
-    rb: u32,
-    next_sym: usize,
-}
-
-impl<W: Symbol> LaneDecoder<W> {
-    pub(crate) fn new() -> Self {
-        LaneDecoder { sym: W::ZERO, rb: 0, next_sym: 0 }
-    }
-
-    /// Bits still buffered.
-    pub(crate) fn buffered(&self) -> u32 {
-        self.rb
-    }
-
-    /// Index of the next symbol this lane would load.
-    pub(crate) fn next_sym(&self) -> usize {
-        self.next_sym
-    }
-
-    /// Decodes `width` bits from the strided stream.
-    pub(crate) fn read(&mut self, stream: &[W], stride: usize, lane: usize, width: u32) -> u64 {
-        if width == 0 {
-            return 0;
-        }
-        if width <= self.rb {
-            let decoded = self.sym.top_bits(width);
-            self.sym = self.sym.shl(width);
-            self.rb -= width;
-            decoded
-        } else {
-            let hi = self.sym.top_bits(self.rb);
-            let lo_bits = width - self.rb;
-            let next = stream[self.next_sym * stride + lane];
-            self.next_sym += 1;
-            let decoded = if lo_bits >= 64 {
-                next.top_bits(lo_bits)
-            } else {
-                (hi << lo_bits) | next.top_bits(lo_bits)
-            };
-            self.sym = next.shl(lo_bits);
-            self.rb = W::BITS - lo_bits;
-            decoded
-        }
-    }
-}
 
 /// Computes `y = A·x` for a BRO-ELL matrix on the simulated device.
 pub fn bro_ell_spmv<T: Scalar, W: Symbol>(
@@ -87,111 +42,136 @@ pub fn bro_ell_spmv<T: Scalar, W: Symbol>(
 ) -> Vec<T> {
     assert_eq!(x.len(), bro.cols(), "x length must match matrix columns");
     sim.reset_stats();
-    let m = bro.rows();
-    if m == 0 {
+    if bro.rows() == 0 {
         return Vec::new();
     }
-    let h = bro.slice_height();
-
-    // Device allocations: one stream + value buffer per slice, shared x/y.
-    let stream_bufs: Vec<BufferAddr> = bro
-        .slices()
-        .iter()
-        .map(|s| sim.alloc(s.stream.len().max(1), W::BITS as usize / 8))
-        .collect();
-    let val_bufs: Vec<BufferAddr> =
-        bro.slices().iter().map(|s| sim.alloc(s.vals.len().max(1), T::BYTES)).collect();
-    let x_buf = sim.alloc(x.len().max(1), T::BYTES);
-    let y_buf = sim.alloc(m, T::BYTES);
-    // bit_alloc and num_col live in constant memory: charged once.
-    sim.charge_constant(bro.metadata_bytes() as u64);
-
-    let warp = sim.profile().warp_size;
+    let launch = SliceLaunch::alloc(sim, bro, x, None);
     sim.label_next_launch("bro-ell/slices");
-    let chunks = sim.launch(bro.slices().len(), h, |b, ctx| {
-        let slice = &bro.slices()[b];
-        run_slice(ctx, slice, stream_bufs[b], val_bufs[b], x_buf, y_buf, b * h, warp, x)
-    });
-    assemble_rows(m, h, chunks)
+    launch.run(sim)
 }
 
-/// Executes one slice (thread block); returns its dense y chunk.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_slice<T: Scalar, W: Symbol>(
-    ctx: &mut BlockCtx,
-    slice: &bro_core::BroEllSlice<T, W>,
-    stream_buf: BufferAddr,
-    val_buf: BufferAddr,
+/// One BRO-ELL (or BRO-ELL-R) launch: the matrix, `x`, and their device
+/// buffers. One thread block per slice, one thread per slice row.
+pub(crate) struct SliceLaunch<'a, T: Scalar, W: Symbol> {
+    bro: &'a BroEll<T, W>,
+    x: &'a [T],
+    stream_bufs: Vec<BufferAddr>,
+    val_bufs: Vec<BufferAddr>,
     x_buf: BufferAddr,
     y_buf: BufferAddr,
-    row0: usize,
-    warp: usize,
-    x: &[T],
-) -> Vec<T> {
-    let height = slice.height;
-    let mut y_local = vec![T::ZERO; height];
-    let mut batch = AddrBatch::new();
-    let mut val_batch = AddrBatch::new();
-    let mut x_batch = AddrBatch::new();
-    let mut active: Vec<usize> = Vec::with_capacity(warp);
-    let mut decoders: Vec<LaneDecoder<W>> = Vec::with_capacity(warp);
-    // Per-lane running 1-based column index (0 = before first column).
-    let mut cols: Vec<i64> = Vec::with_capacity(warp);
-    for w0 in (0..height).step_by(warp) {
-        let lanes = (height - w0).min(warp);
-        decoders.clear();
-        decoders.resize_with(lanes, LaneDecoder::new);
-        cols.clear();
-        cols.resize(lanes, -1);
-        for c in 0..slice.num_cols {
-            let b = slice.bit_alloc[c] as u32;
-            // Warp-uniform refill decision (all lanes share rb).
-            let refill = b > decoders[0].buffered();
-            if refill {
-                batch.clear();
-                let sym_idx = decoders[0].next_sym();
-                for l in 0..lanes {
-                    batch.push(stream_buf, sym_idx * height + (w0 + l));
-                }
-                ctx.global_read(batch.addrs(), W::BITS as u64 / 8);
-                ctx.int_ops((DECODE_OPS_HIT + DECODE_OPS_REFILL) * lanes as u64);
-            } else {
-                ctx.int_ops(DECODE_OPS_HIT * lanes as u64);
-            }
+    /// BRO-ELL-R's row lengths and their buffer: each warp loads its rows'
+    /// lengths and stops at its longest row.
+    row_lengths: Option<(&'a [u32], BufferAddr)>,
+}
 
-            // Decode and multiply-add on valid lanes.
-            val_batch.clear();
-            x_batch.clear();
-            active.clear();
-            for (l, dec) in decoders.iter_mut().enumerate() {
-                debug_assert_eq!(
-                    refill,
-                    b > dec.buffered(),
-                    "refill decision must be warp-uniform"
-                );
-                let d = dec.read(&slice.stream, height, w0 + l, b);
-                if d != 0 {
-                    cols[l] += d as i64;
-                    val_batch.push(val_buf, c * height + (w0 + l));
-                    x_batch.push(x_buf, cols[l] as usize);
-                    active.push(l);
-                }
-            }
-            ctx.global_read(val_batch.addrs(), T::BYTES as u64);
-            ctx.tex_read(x_batch.addrs());
-            ctx.flops(2 * active.len() as u64);
-            for &l in &active {
-                let v = slice.vals[c * height + (w0 + l)];
-                y_local[w0 + l] = v.mul_add(x[cols[l] as usize], y_local[w0 + l]);
-            }
-        }
-        batch.clear();
-        for l in 0..lanes {
-            batch.push(y_buf, row0 + w0 + l);
-        }
-        ctx.global_write(batch.addrs(), T::BYTES as u64);
+impl<'a, T: Scalar, W: Symbol> SliceLaunch<'a, T, W> {
+    /// Allocates the device buffers (one stream and one value buffer per
+    /// slice, then the row lengths if given, then `x` and `y`) and charges
+    /// the constant-memory metadata.
+    pub(crate) fn alloc(
+        sim: &mut DeviceSim,
+        bro: &'a BroEll<T, W>,
+        x: &'a [T],
+        row_lengths: Option<&'a [u32]>,
+    ) -> Self {
+        let stream_bufs = bro
+            .slices()
+            .iter()
+            .map(|s| sim.alloc(s.stream.len().max(1), W::BITS as usize / 8))
+            .collect();
+        let val_bufs =
+            bro.slices().iter().map(|s| sim.alloc(s.vals.len().max(1), T::BYTES)).collect();
+        let row_lengths = row_lengths.map(|lengths| (lengths, sim.alloc(bro.rows(), 4)));
+        let x_buf = sim.alloc(x.len().max(1), T::BYTES);
+        let y_buf = sim.alloc(bro.rows(), T::BYTES);
+        // bit_alloc and num_col live in constant memory: charged once.
+        sim.charge_constant(bro.metadata_bytes() as u64);
+        SliceLaunch { bro, x, stream_bufs, val_bufs, x_buf, y_buf, row_lengths }
     }
-    y_local
+
+    /// Launches one block per slice and assembles `y`.
+    pub(crate) fn run(&self, sim: &mut DeviceSim) -> Vec<T> {
+        let h = self.bro.slice_height();
+        let warp = sim.profile().warp_size;
+        let chunks = sim.launch(self.bro.slices().len(), h, |b, ctx| self.slice(ctx, b, warp));
+        assemble_rows(self.bro.rows(), h, chunks)
+    }
+
+    /// Executes slice `b` (one thread block); returns its dense y chunk.
+    fn slice(&self, ctx: &mut BlockCtx, b: usize, warp: usize) -> Vec<T> {
+        let slice: &BroEllSlice<T, W> = &self.bro.slices()[b];
+        let (stream_buf, val_buf) = (self.stream_bufs[b], self.val_bufs[b]);
+        let height = slice.height;
+        let row0 = b * self.bro.slice_height();
+        let elem = T::BYTES as u64;
+        let mut y_local = vec![T::ZERO; height];
+        let mut dec = WarpDecoder::<W>::new();
+        // Per-lane running column, offset by one (0 = before the first).
+        let mut cols: Vec<usize> = Vec::with_capacity(warp);
+        for w0 in (0..height).step_by(warp) {
+            let lanes = (height - w0).min(warp);
+            let rows = row0 + w0..row0 + w0 + lanes;
+            let num_cols = match self.row_lengths {
+                None => slice.num_cols,
+                Some((lengths, len_buf)) => {
+                    // Coalesced row-length load; the warp stops at its
+                    // longest row.
+                    let mut load = ctx.load(4);
+                    load.lanes(len_buf.addr(rows.start), lanes);
+                    load.end();
+                    let longest = lengths[rows.clone()].iter().max().copied().unwrap_or(0);
+                    (longest as usize).min(slice.num_cols)
+                }
+            };
+            dec.reset(lanes);
+            cols.clear();
+            cols.resize(lanes, 0);
+            for c in 0..num_cols {
+                let bits = slice.bit_alloc[c] as u32;
+                // Warp-uniform refill: one coalesced load of a stream row.
+                if let Some(sym) = dec.decode(&slice.stream, height, w0, bits) {
+                    let mut load = ctx.load(W::BITS as u64 / 8);
+                    load.lanes(stream_buf.addr(sym * height + w0), lanes);
+                    load.end();
+                    ctx.int_ops((DECODE_OPS_HIT + DECODE_OPS_REFILL) * lanes as u64);
+                } else {
+                    ctx.int_ops(DECODE_OPS_HIT * lanes as u64);
+                }
+                // Valid lanes load their value, read x and multiply-add.
+                let mut active = 0;
+                let first = c * height + w0;
+                let lane_vals = slice.vals[first..first + lanes].iter();
+                let lane_y = y_local[w0..w0 + lanes].iter_mut();
+                let mut vals = ctx.load(elem);
+                // Runs of consecutive valid lanes load consecutive values.
+                let (mut run, mut run_len) = (first, 0);
+                for ((((&d, col), &v), y), i) in
+                    dec.deltas().iter().zip(&mut cols).zip(lane_vals).zip(lane_y).zip(first..)
+                {
+                    if d != 0 {
+                        *col += d as usize;
+                        if run_len == 0 {
+                            run = i;
+                        }
+                        run_len += 1;
+                        vals.tex_lane(self.x_buf.addr(*col - 1), elem);
+                        *y = v.mul_add(self.x[*col - 1], *y);
+                        active += 1;
+                    } else if run_len > 0 {
+                        vals.lanes(val_buf.addr(run), run_len);
+                        run_len = 0;
+                    }
+                }
+                vals.lanes(val_buf.addr(run), run_len);
+                vals.end();
+                ctx.flops(2 * active);
+            }
+            let mut store = ctx.store(elem);
+            store.lanes(self.y_buf.addr(rows.start), lanes);
+            store.end();
+        }
+        y_local
+    }
 }
 
 #[cfg(test)]

@@ -2,15 +2,15 @@
 //! warp's longest row (see `bro_core::bro_ellr`). Decode work and symbol
 //! loads beyond a warp's own maximum length are skipped entirely; the
 //! multiplexed stream is addressed absolutely, so skipping trailing symbols
-//! of one warp never perturbs another.
+//! of one warp never perturbs another. The slice routine is BRO-ELL's,
+//! given the row lengths.
 
 use bro_bitstream::Symbol;
 use bro_core::BroEllR;
-use bro_gpu_sim::{BufferAddr, DeviceSim};
+use bro_gpu_sim::DeviceSim;
 use bro_matrix::Scalar;
 
-use crate::bro_ell::{LaneDecoder, DECODE_OPS_HIT, DECODE_OPS_REFILL};
-use crate::common::{assemble_rows, AddrBatch};
+use crate::bro_ell::SliceLaunch;
 
 /// Computes `y = A·x` for a BRO-ELL-R matrix on the simulated device.
 pub fn bro_ellr_spmv<T: Scalar, W: Symbol>(
@@ -20,101 +20,12 @@ pub fn bro_ellr_spmv<T: Scalar, W: Symbol>(
 ) -> Vec<T> {
     assert_eq!(x.len(), bror.cols(), "x length must match matrix columns");
     sim.reset_stats();
-    let bro = bror.bro();
-    let m = bro.rows();
-    if m == 0 {
+    if bror.bro().rows() == 0 {
         return Vec::new();
     }
-    let h = bro.slice_height();
-    let lengths = bror.row_lengths();
-
-    let stream_bufs: Vec<BufferAddr> = bro
-        .slices()
-        .iter()
-        .map(|s| sim.alloc(s.stream.len().max(1), W::BITS as usize / 8))
-        .collect();
-    let val_bufs: Vec<BufferAddr> =
-        bro.slices().iter().map(|s| sim.alloc(s.vals.len().max(1), T::BYTES)).collect();
-    let len_buf = sim.alloc(m, 4);
-    let x_buf = sim.alloc(x.len().max(1), T::BYTES);
-    let y_buf = sim.alloc(m, T::BYTES);
-    sim.charge_constant(bro.metadata_bytes() as u64);
-
-    let warp = sim.profile().warp_size;
+    let launch = SliceLaunch::alloc(sim, bror.bro(), x, Some(bror.row_lengths()));
     sim.label_next_launch("bro-ellr/slices");
-    let chunks = sim.launch(bro.slices().len(), h, |b, ctx| {
-        let slice = &bro.slices()[b];
-        let row0 = b * h;
-        let height = slice.height;
-        let mut y_local = vec![T::ZERO; height];
-        let mut batch = AddrBatch::new();
-        let mut val_batch = AddrBatch::new();
-        let mut x_batch = AddrBatch::new();
-        let mut active: Vec<usize> = Vec::with_capacity(warp);
-        let mut decoders: Vec<LaneDecoder<W>> = Vec::with_capacity(warp);
-        let mut cols: Vec<i64> = Vec::with_capacity(warp);
-        for w0 in (0..height).step_by(warp) {
-            let lanes = (height - w0).min(warp);
-            // Coalesced row_length load for the warp.
-            batch.clear();
-            for l in 0..lanes {
-                batch.push(len_buf, row0 + w0 + l);
-            }
-            ctx.global_read(batch.addrs(), 4);
-            // Early exit: this warp only walks to its own longest row.
-            let warp_max = (0..lanes)
-                .map(|l| lengths[row0 + w0 + l] as usize)
-                .max()
-                .unwrap_or(0)
-                .min(slice.num_cols);
-
-            decoders.clear();
-            decoders.resize_with(lanes, LaneDecoder::new);
-            cols.clear();
-            cols.resize(lanes, -1);
-            for c in 0..warp_max {
-                let bits = slice.bit_alloc[c] as u32;
-                let refill = bits > decoders[0].buffered();
-                if refill {
-                    batch.clear();
-                    let sym_idx = decoders[0].next_sym();
-                    for l in 0..lanes {
-                        batch.push(stream_bufs[b], sym_idx * height + (w0 + l));
-                    }
-                    ctx.global_read(batch.addrs(), W::BITS as u64 / 8);
-                    ctx.int_ops((DECODE_OPS_HIT + DECODE_OPS_REFILL) * lanes as u64);
-                } else {
-                    ctx.int_ops(DECODE_OPS_HIT * lanes as u64);
-                }
-                val_batch.clear();
-                x_batch.clear();
-                active.clear();
-                for (l, dec) in decoders.iter_mut().enumerate() {
-                    let d = dec.read(&slice.stream, height, w0 + l, bits);
-                    if d != 0 {
-                        cols[l] += d as i64;
-                        val_batch.push(val_bufs[b], c * height + (w0 + l));
-                        x_batch.push(x_buf, cols[l] as usize);
-                        active.push(l);
-                    }
-                }
-                ctx.global_read(val_batch.addrs(), T::BYTES as u64);
-                ctx.tex_read(x_batch.addrs());
-                ctx.flops(2 * active.len() as u64);
-                for &l in &active {
-                    let v = slice.vals[c * height + (w0 + l)];
-                    y_local[w0 + l] = v.mul_add(x[cols[l] as usize], y_local[w0 + l]);
-                }
-            }
-            batch.clear();
-            for l in 0..lanes {
-                batch.push(y_buf, row0 + w0 + l);
-            }
-            ctx.global_write(batch.addrs(), T::BYTES as u64);
-        }
-        y_local
-    });
-    assemble_rows(m, h, chunks)
+    launch.run(sim)
 }
 
 #[cfg(test)]

@@ -110,7 +110,7 @@ pub fn coo_spmv_with<T: Scalar>(
                     for l in 0..lanes {
                         batch.push(x_buf, cols_arr[start + step0 + l] as usize);
                     }
-                    ctx.tex_read(batch.addrs());
+                    ctx.tex_read(batch.addrs(), T::BYTES as u64);
                     ctx.flops(2 * lanes as u64);
                     // Warp-level segmented reduction: log2(w) shuffle steps.
                     ctx.warp_ops(warp.ilog2() as u64 * lanes as u64);

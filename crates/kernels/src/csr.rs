@@ -79,7 +79,7 @@ pub fn csr_scalar_spmv<T: Scalar>(sim: &mut DeviceSim, csr: &CsrMatrix<T>, x: &[
                 }
                 ctx.global_read(col_batch.addrs(), 4);
                 ctx.global_read(val_batch.addrs(), T::BYTES as u64);
-                ctx.tex_read(x_batch.addrs());
+                ctx.tex_read(x_batch.addrs(), T::BYTES as u64);
                 ctx.flops(2 * active.len() as u64);
                 ctx.int_ops(2 * active.len() as u64);
                 for &l in &active {
@@ -146,7 +146,7 @@ pub fn csr_vector_spmv<T: Scalar>(sim: &mut DeviceSim, csr: &CsrMatrix<T>, x: &[
                 for l in 0..lanes {
                     batch.push(x_buf, csr.col_indices()[chunk0 + l] as usize);
                 }
-                ctx.tex_read(batch.addrs());
+                ctx.tex_read(batch.addrs(), T::BYTES as u64);
                 ctx.flops(2 * lanes as u64);
                 for l in 0..lanes {
                     let p = chunk0 + l;

@@ -64,7 +64,7 @@ pub fn ell_spmv<T: Scalar>(sim: &mut DeviceSim, ell: &EllMatrix<T>, x: &[T]) -> 
                     }
                 }
                 ctx.global_read(val_batch.addrs(), T::BYTES as u64);
-                ctx.tex_read(x_batch.addrs());
+                ctx.tex_read(x_batch.addrs(), T::BYTES as u64);
                 ctx.flops(2 * active.len() as u64);
                 for &(l, c) in &active {
                     let r = row0 + w0 + l;

@@ -69,7 +69,7 @@ pub fn ellr_spmv<T: Scalar>(sim: &mut DeviceSim, ellr: &EllRMatrix<T>, x: &[T]) 
                 }
                 ctx.global_read(col_batch.addrs(), 4);
                 ctx.global_read(val_batch.addrs(), T::BYTES as u64);
-                ctx.tex_read(x_batch.addrs());
+                ctx.tex_read(x_batch.addrs(), T::BYTES as u64);
                 // Loop bookkeeping only — no padding test.
                 ctx.int_ops(active.len() as u64);
                 ctx.flops(2 * active.len() as u64);

@@ -59,7 +59,7 @@ pub fn sliced_ell_spmv<T: Scalar>(sim: &mut DeviceSim, se: &SlicedEllMatrix<T>, 
                     }
                 }
                 ctx.global_read(val_batch.addrs(), T::BYTES as u64);
-                ctx.tex_read(x_batch.addrs());
+                ctx.tex_read(x_batch.addrs(), T::BYTES as u64);
                 ctx.flops(2 * active.len() as u64);
                 for &(l, c) in &active {
                     let v = slice.vals[j * height + w0 + l];

@@ -8,12 +8,12 @@
 //! *decreases* as the block widens. The `repro spmm` experiment quantifies
 //! the decay.
 
-use bro_bitstream::Symbol;
+use bro_bitstream::{Symbol, WarpDecoder};
 use bro_core::BroEll;
 use bro_gpu_sim::{BufferAddr, DeviceSim};
 use bro_matrix::{EllMatrix, Scalar, INVALID_INDEX};
 
-use crate::bro_ell::{LaneDecoder, DECODE_OPS_HIT, DECODE_OPS_REFILL};
+use crate::bro_ell::{DECODE_OPS_HIT, DECODE_OPS_REFILL};
 use crate::common::AddrBatch;
 use crate::BLOCK_SIZE;
 
@@ -76,7 +76,7 @@ pub fn ell_spmm<T: Scalar>(sim: &mut DeviceSim, ell: &EllMatrix<T>, xs: &[Vec<T>
                     for &(_, c) in &active {
                         batch.push(*x_buf, c as usize);
                     }
-                    ctx.tex_read(batch.addrs());
+                    ctx.tex_read(batch.addrs(), T::BYTES as u64);
                     ctx.flops(2 * active.len() as u64);
                     for &(l, c) in &active {
                         let r = row0 + w0 + l;
@@ -143,22 +143,19 @@ pub fn bro_ell_spmm<T: Scalar, W: Symbol>(
         let mut batch = AddrBatch::new();
         let mut val_batch = AddrBatch::new();
         let mut active: Vec<usize> = Vec::with_capacity(warp);
-        let mut decoders: Vec<LaneDecoder<W>> = Vec::with_capacity(warp);
+        let mut dec = WarpDecoder::<W>::new();
         let mut cols: Vec<i64> = Vec::with_capacity(warp);
         for w0 in (0..height).step_by(warp) {
             let lanes = (height - w0).min(warp);
-            decoders.clear();
-            decoders.resize_with(lanes, LaneDecoder::new);
+            dec.reset(lanes);
             cols.clear();
             cols.resize(lanes, -1);
             for c in 0..slice.num_cols {
                 let bits = slice.bit_alloc[c] as u32;
-                let refill = bits > decoders[0].buffered();
-                if refill {
+                if let Some(sym) = dec.decode(&slice.stream, height, w0, bits) {
                     batch.clear();
-                    let sym_idx = decoders[0].next_sym();
                     for l in 0..lanes {
-                        batch.push(stream_bufs[b], sym_idx * height + (w0 + l));
+                        batch.push(stream_bufs[b], sym * height + (w0 + l));
                     }
                     ctx.global_read(batch.addrs(), W::BITS as u64 / 8);
                     ctx.int_ops((DECODE_OPS_HIT + DECODE_OPS_REFILL) * lanes as u64);
@@ -167,8 +164,7 @@ pub fn bro_ell_spmm<T: Scalar, W: Symbol>(
                 }
                 val_batch.clear();
                 active.clear();
-                for (l, dec) in decoders.iter_mut().enumerate() {
-                    let d = dec.read(&slice.stream, height, w0 + l, bits);
+                for (l, &d) in dec.deltas().iter().enumerate() {
                     if d != 0 {
                         cols[l] += d as i64;
                         val_batch.push(val_bufs[b], c * height + (w0 + l));
@@ -181,7 +177,7 @@ pub fn bro_ell_spmm<T: Scalar, W: Symbol>(
                     for &l in &active {
                         batch.push(*x_buf, cols[l] as usize);
                     }
-                    ctx.tex_read(batch.addrs());
+                    ctx.tex_read(batch.addrs(), T::BYTES as u64);
                     ctx.flops(2 * active.len() as u64);
                     for &l in &active {
                         let val = slice.vals[c * height + (w0 + l)];

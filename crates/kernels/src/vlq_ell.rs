@@ -129,7 +129,7 @@ pub fn vlq_ell_spmv<T: Scalar>(sim: &mut DeviceSim, vlq: &VlqEll<T>, x: &[T]) ->
                     cols[l] += decoded[l] as i64;
                     batch.push(x_buf, cols[l] as usize);
                 }
-                ctx.tex_read(batch.addrs());
+                ctx.tex_read(batch.addrs(), T::BYTES as u64);
                 ctx.flops(2 * active.len() as u64);
                 for &l in &active {
                     let v = vlq.values()[vpos[l]];

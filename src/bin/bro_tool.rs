@@ -211,7 +211,12 @@ fn cmd_spmv(a: &Args) {
         BroEll::from_coo(&load_matrix(name, a.scale), &BroEllConfig::default())
     };
     let m = bro.decompress();
-    let x: Vec<f64> = (0..m.cols()).map(|i| 1.0 + (i % 8) as f64 * 0.25).collect();
+    // An artifact's column count is not backed by its payload: allocate x
+    // fallibly rather than abort on an absurd header.
+    let mut x: Vec<f64> = Vec::new();
+    x.try_reserve_exact(m.cols())
+        .unwrap_or_else(|e| die(&format!("x for {} columns: {e}", m.cols())));
+    x.extend((0..m.cols()).map(|i| 1.0 + (i % 8) as f64 * 0.25));
     let reference = csr_spmv(&CsrMatrix::from_coo(&m), &x);
     let mut sim = DeviceSim::new(a.device.clone());
     let y = bro_ell_spmv(&mut sim, &bro, &x);

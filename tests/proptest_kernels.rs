@@ -118,3 +118,67 @@ fn regression_corpus_replays_clean() {
         }
     }
 }
+
+/// `|y - reference| <= 1e-9 · Σ|a·x|` per row: the kernels may sum a row in
+/// another order than the CPU reference, and mutated values can be huge.
+fn agrees(y: &[f64], m: &CooMatrix<f64>, x: &[f64]) -> bool {
+    let reference = m.spmv_reference(x).unwrap();
+    let mut scale = vec![0.0f64; m.rows()];
+    for (r, c, v) in m.iter() {
+        scale[r as usize] += (v * x[c as usize]).abs();
+    }
+    y.len() == reference.len()
+        && y.iter().zip(&reference).zip(&scale).all(|((&a, &b), &s)| {
+            a == b || (a.is_nan() && b.is_nan()) || (a - b).abs() <= 1e-9 * s.max(1.0)
+        })
+}
+
+/// Seeded byte mutations of a BRO-ELL and a BRO-COO artifact of `epb3`.
+/// Reading returns `Err`, or a matrix that decompresses and whose kernel
+/// agrees with the CPU reference on it; it never panics or aborts.
+#[test]
+fn mutated_artifacts_read_to_err_or_a_runnable_matrix() {
+    use rand::{Rng, SeedableRng};
+    let a: CooMatrix<f64> = bro_spmv::matrix::suite::by_name("epb3").unwrap().spec(0.01).generate();
+    let (mut ell_art, mut coo_art) = (Vec::new(), Vec::new());
+    write_bro_ell(&BroEll::<f64>::from_coo(&a, &BroEllConfig::default()), &mut ell_art).unwrap();
+    write_bro_coo(&BroCoo::<f64>::compress(&a, &BroCooConfig::default()), &mut coo_art).unwrap();
+    let x_for = |cols: usize| -> Option<Vec<f64>> {
+        // A mutated header can claim billions of columns; the payload does
+        // not bound `cols`, so only matrices whose x fits a test run go on
+        // to the kernel.
+        (cols <= 1 << 20).then(|| (0..cols).map(|i| 1.0 + (i % 8) as f64 * 0.25).collect())
+    };
+    let (mut ran, mut rejected) = (0, 0);
+    for seed in 0..600u64 {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mut bytes = if seed % 2 == 0 { ell_art.clone() } else { coo_art.clone() };
+        for _ in 0..rng.gen_range(1..3usize) {
+            // Mostly the first 160 bytes, where the headers and widths live.
+            let end = if rng.gen_bool(0.75) { 160 } else { bytes.len() };
+            let at = rng.gen_range(0..end);
+            bytes[at] = rng.gen_range(0..=255u8);
+        }
+        let mut sim = DeviceSim::new(DeviceProfile::tesla_k20());
+        let outcome = if seed % 2 == 0 {
+            read_bro_ell::<f64, u32, _>(&mut &bytes[..]).map(|bro| {
+                let m = bro.decompress();
+                x_for(m.cols()).map(|x| agrees(&bro_ell_spmv(&mut sim, &bro, &x), &m, &x))
+            })
+        } else {
+            read_bro_coo::<f64, u32, _>(&mut &bytes[..]).map(|bro| {
+                let m = bro.decompress();
+                x_for(m.cols()).map(|x| agrees(&bro_coo_spmv(&mut sim, &bro, &x), &m, &x))
+            })
+        };
+        match outcome {
+            Ok(checked) => {
+                assert_ne!(checked, Some(false), "seed {seed}: the kernel disagrees");
+                ran += 1;
+            }
+            Err(_) => rejected += 1,
+        }
+    }
+    // Both outcomes occur, so the oracle is not vacuous.
+    assert!(ran > 50 && rejected > 50, "ran {ran}, rejected {rejected}");
+}
