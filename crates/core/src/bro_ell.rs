@@ -25,11 +25,15 @@ use rayon::prelude::*;
 
 use crate::analysis::SpaceSavings;
 
+/// The largest slice height: one slice is one thread block, and no modeled
+/// device runs more than 1024 threads per block.
+pub const MAX_SLICE_HEIGHT: usize = 1024;
+
 /// Compression parameters for BRO-ELL.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BroEllConfig {
-    /// Slice height `h` — the thread block size. The paper (and cusp) use
-    /// 256.
+    /// Slice height `h` — the thread block size, 1 to
+    /// [`MAX_SLICE_HEIGHT`]. The paper (and cusp) use 256.
     pub slice_height: usize,
     /// Lower bound forced onto every column's bit allocation. The paper's
     /// Fig. 3 experiment "simulates different compression ratios" by
@@ -90,7 +94,10 @@ impl<T: Scalar, W: Symbol> BroEll<T, W> {
     /// Compresses an ELLPACK matrix. Runs offline on the host, slices in
     /// parallel.
     pub fn compress(ell: &EllMatrix<T>, cfg: &BroEllConfig) -> Self {
-        assert!(cfg.slice_height > 0, "slice height must be positive");
+        assert!(
+            (1..=MAX_SLICE_HEIGHT).contains(&cfg.slice_height),
+            "slice height must be 1 to {MAX_SLICE_HEIGHT}, the thread-block limit"
+        );
         let m = ell.rows();
         let h = cfg.slice_height;
         let n_slices = m.div_ceil(h);

@@ -34,7 +34,7 @@ pub mod vlq_ell;
 
 pub use analysis::{compression_ratio, DeltaHistogram, SpaceSavings};
 pub use bro_coo::{BroCoo, BroCooConfig, BroCooInterval};
-pub use bro_ell::{BroEll, BroEllConfig, BroEllSlice};
+pub use bro_ell::{BroEll, BroEllConfig, BroEllSlice, MAX_SLICE_HEIGHT};
 pub use bro_ellr::BroEllR;
 pub use bro_hyb::{BroHyb, BroHybConfig};
 pub use serialize::{read_bro_coo, read_bro_ell, write_bro_coo, write_bro_ell, SerializeError};

@@ -25,7 +25,7 @@ use bro_bitstream::{Symbol, WarpDecoder};
 use bro_matrix::Scalar;
 
 use crate::bro_coo::{BroCoo, BroCooInterval};
-use crate::bro_ell::{BroEll, BroEllSlice};
+use crate::bro_ell::{BroEll, BroEllSlice, MAX_SLICE_HEIGHT};
 
 /// File magic.
 pub const MAGIC: &[u8; 8] = b"BROSPMV1";
@@ -221,7 +221,10 @@ pub fn read_bro_ell<T: Scalar, S: Symbol, R: Read>(r: &mut R) -> Result<BroEll<T
     let cols = get_usize(r, "cols", DIM_CAP)?;
     let nnz = get_usize(r, "nnz", LEN_CAP)?;
     let ell_width = get_usize(r, "ell width", LEN_CAP)?;
-    let slice_height = get_usize(r, "slice height", LEN_CAP)?;
+    // One slice is one thread block. The limit also bounds `rows` by the
+    // slice records actually read, so what `rows` sizes stays in
+    // proportion to the input.
+    let slice_height = get_usize(r, "slice height", MAX_SLICE_HEIGHT as u64)?;
     let n_slices = get_usize(r, "slice count", LEN_CAP)?;
     // Slice `i` holds rows `i·h .. min((i+1)·h, rows)`, as `compress` cuts them.
     let expected_slices = if slice_height == 0 { 0 } else { rows.div_ceil(slice_height) };
@@ -601,6 +604,44 @@ mod tests {
         wide[0].bit_alloc[0] = 32;
         wide[0].bit_alloc[1] = 32;
         payload_error(with(rows, cols, nnz, k, 32, wide), "bit_alloc needs");
+    }
+
+    /// A 111-byte artifact: 2^31 rows in one empty slice of that height.
+    /// Read back, it made `bro_tool spmv` allocate a 17 GB row pointer.
+    fn unbacked_rows_artifact() -> Vec<u8> {
+        let h = 1 << 31;
+        let empty = BroEllSlice::<f64, u32> {
+            height: h,
+            num_cols: 0,
+            bit_alloc: Vec::new(),
+            pad_bits: 0,
+            syms_per_row: 0,
+            stream: Vec::new(),
+            vals: Vec::new(),
+        };
+        let mut buf = Vec::new();
+        write_bro_ell(&BroEll::from_parts(h, 1, 0, 0, h, vec![empty]), &mut buf).unwrap();
+        buf
+    }
+
+    #[test]
+    fn slice_height_is_limited_to_a_thread_block() {
+        let buf = unbacked_rows_artifact();
+        assert_eq!(buf.len(), 111);
+        payload_error(read_bro_ell::<f64, u32, _>(&mut &buf[..]), "slice height");
+        // The largest thread block still round-trips.
+        let bro: BroEll<f64> = BroEll::from_coo(
+            &matrix(),
+            &BroEllConfig { slice_height: MAX_SLICE_HEIGHT, ..Default::default() },
+        );
+        assert_eq!(reread_ell(&bro).unwrap(), bro);
+    }
+
+    #[test]
+    #[should_panic(expected = "thread-block limit")]
+    fn compress_rejects_a_slice_taller_than_a_thread_block() {
+        let cfg = BroEllConfig { slice_height: MAX_SLICE_HEIGHT + 1, ..Default::default() };
+        let _: BroEll<f64> = BroEll::from_coo(&matrix(), &cfg);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //!
 //! Inside a block, the kernel narrates its work to the [`BlockCtx`]:
 //! warp-level memory instructions (the byte address of each active lane,
-//! given lane by lane or as a slice) and arithmetic operation counts. The
-//! context coalesces each instruction's lanes as they arrive, drives the
-//! texture cache, and accumulates [`LaunchStats`].
+//! given lane by lane or as a span of consecutive lanes) and arithmetic
+//! operation counts. The context coalesces each instruction's lanes as they
+//! arrive, drives the texture cache, and accumulates [`LaunchStats`].
 
 use rayon::prelude::*;
 
@@ -580,25 +580,6 @@ impl BlockCtx {
         self.access(elem_bytes, true)
     }
 
-    /// One warp-level global **load** instruction. `addrs` holds the byte
-    /// addresses of the active lanes (inactive lanes are simply omitted).
-    pub fn global_read(&mut self, addrs: &[u64], elem_bytes: u64) {
-        let mut warp = self.load(elem_bytes);
-        for &a in addrs {
-            warp.lane(a);
-        }
-        warp.end();
-    }
-
-    /// One warp-level global **store** instruction.
-    pub fn global_write(&mut self, addrs: &[u64], elem_bytes: u64) {
-        let mut warp = self.store(elem_bytes);
-        for &a in addrs {
-            warp.lane(a);
-        }
-        warp.end();
-    }
-
     /// One warp-level atomic read-modify-write. Each distinct address costs
     /// one 32-byte L2 sector round trip.
     pub fn atomic_rmw(&mut self, addrs: &[u64]) {
@@ -630,13 +611,6 @@ impl BlockCtx {
         self.cache.access(addr);
     }
 
-    /// Per-lane texture reads of `elem_bytes` elements, in lane order.
-    pub fn tex_read(&mut self, addrs: &[u64], elem_bytes: u64) {
-        for &a in addrs {
-            self.tex_lane(a, elem_bytes);
-        }
-    }
-
     /// `n` useful floating-point operations (one FMA counts as 2).
     pub fn flops(&mut self, n: u64) {
         self.stats.flops += n;
@@ -661,6 +635,25 @@ mod tests {
         DeviceSim::new(DeviceProfile::tesla_c2070())
     }
 
+    /// One warp load whose active lanes read `addrs`.
+    fn read(ctx: &mut BlockCtx, addrs: &[u64], elem_bytes: u64) {
+        let mut warp = ctx.load(elem_bytes);
+        addrs.iter().for_each(|&a| warp.lane(a));
+        warp.end();
+    }
+
+    /// One warp store whose active lanes write `addrs`.
+    fn write(ctx: &mut BlockCtx, addrs: &[u64], elem_bytes: u64) {
+        let mut warp = ctx.store(elem_bytes);
+        addrs.iter().for_each(|&a| warp.lane(a));
+        warp.end();
+    }
+
+    /// Texture reads of `addrs`, in lane order.
+    fn tex(ctx: &mut BlockCtx, addrs: &[u64], elem_bytes: u64) {
+        addrs.iter().for_each(|&a| ctx.tex_lane(a, elem_bytes));
+    }
+
     #[test]
     fn launch_returns_outputs_in_block_order() {
         let mut s = sim();
@@ -677,7 +670,7 @@ mod tests {
         s.launch(1, 32, |_, ctx| {
             // 32 lanes x 4-byte elements, consecutive: exactly one 128 B txn.
             let addrs: Vec<u64> = (0..32).map(|i| 0x1000 + i * 4).collect();
-            ctx.global_read(&addrs, 4);
+            read(ctx, &addrs, 4);
         });
         assert_eq!(s.stats().global_read_txns, 1);
         assert_eq!(s.stats().global_read_bytes, 128);
@@ -689,7 +682,7 @@ mod tests {
         s.launch(1, 32, |_, ctx| {
             // Each lane hits its own 128 B segment.
             let addrs: Vec<u64> = (0..32).map(|i| i * 128).collect();
-            ctx.global_read(&addrs, 4);
+            read(ctx, &addrs, 4);
         });
         assert_eq!(s.stats().global_read_txns, 32);
     }
@@ -699,7 +692,7 @@ mod tests {
         let mut s = sim();
         s.launch(1, 32, |_, ctx| {
             // An 8-byte element straddling a 128 B boundary.
-            ctx.global_read(&[124], 8);
+            read(ctx, &[124], 8);
         });
         assert_eq!(s.stats().global_read_txns, 2);
     }
@@ -709,7 +702,7 @@ mod tests {
         let mut s = sim();
         s.launch(1, 32, |_, ctx| {
             let addrs: Vec<u64> = (0..32).map(|i| 0x2000 + i * 8).collect();
-            ctx.global_read(&addrs, 8);
+            read(ctx, &addrs, 8);
         });
         assert_eq!(s.stats().global_read_txns, 2);
         assert_eq!(s.stats().global_read_bytes, 256);
@@ -719,8 +712,8 @@ mod tests {
     fn empty_access_is_free() {
         let mut s = sim();
         s.launch(1, 32, |_, ctx| {
-            ctx.global_read(&[], 8);
-            ctx.global_write(&[], 8);
+            read(ctx, &[], 8);
+            write(ctx, &[], 8);
             ctx.atomic_rmw(&[]);
         });
         assert_eq!(s.stats().global_read_txns, 0);
@@ -743,8 +736,8 @@ mod tests {
         // Two blocks land on different SMs (round-robin), so the same
         // address misses twice; within a block the second read hits.
         s.launch(2, 32, |_, ctx| {
-            ctx.tex_read(&[0x100], 8);
-            ctx.tex_read(&[0x100], 8);
+            tex(ctx, &[0x100], 8);
+            tex(ctx, &[0x100], 8);
         });
         assert_eq!(s.stats().tex_misses, 2);
         assert_eq!(s.stats().tex_hits, 2);
@@ -757,7 +750,7 @@ mod tests {
         // 14 SMs on the C2070: blocks 0 and 14 run on SM 0 sequentially.
         s.launch(15, 32, |b, ctx| {
             if b == 0 || b == 14 {
-                ctx.tex_read(&[0x100], 8);
+                tex(ctx, &[0x100], 8);
             }
         });
         assert_eq!(s.stats().tex_misses, 1);
@@ -795,8 +788,8 @@ mod tests {
             let mut s = sim();
             s.launch(37, 256, |b, ctx| {
                 let addrs: Vec<u64> = (0..32).map(|i| (b as u64 * 37 + i * 8) % 4096).collect();
-                ctx.global_read(&addrs, 8);
-                ctx.tex_read(&addrs, 8);
+                read(ctx, &addrs, 8);
+                tex(ctx, &addrs, 8);
                 ctx.flops(b as u64);
             });
             s.stats().clone()
@@ -824,8 +817,8 @@ mod tests {
                 let outs = s.launch(53, 128, |b, ctx| {
                     let addrs: Vec<u64> =
                         (0..32).map(|i| (b as u64 * 13 + i) * 32 % 8192).collect();
-                    ctx.tex_read(&addrs, 4);
-                    ctx.global_read(&addrs, 4);
+                    tex(ctx, &addrs, 4);
+                    read(ctx, &addrs, 4);
                     b * 3
                 });
                 (outs, s.stats().clone())
@@ -861,9 +854,9 @@ mod tests {
         let buf = s.alloc(64, 8);
         s.launch(1, 32, |_, ctx| {
             let addrs: Vec<u64> = (0..32).map(|i| buf.addr(i)).collect();
-            ctx.global_read(&addrs, 8);
-            ctx.global_write(&addrs[..4], 8);
-            ctx.tex_read(&addrs, 8);
+            read(ctx, &addrs, 8);
+            write(ctx, &addrs[..4], 8);
+            tex(ctx, &addrs, 8);
             ctx.atomic_rmw(&addrs[..2]);
         });
         assert!(s.stats().global_read_txns > 0);
@@ -876,7 +869,7 @@ mod tests {
         let mut s = sim();
         let buf = s.alloc(4, 8); // heap ends at buf.base + 32 (aligned up)
         s.launch(1, 32, |_, ctx| {
-            ctx.global_read(&[buf.base + 4096], 8);
+            read(ctx, &[buf.base + 4096], 8);
         });
     }
 
@@ -887,7 +880,7 @@ mod tests {
         let mut s = sim();
         let _buf = s.alloc(4, 8);
         s.launch(1, 32, |_, ctx| {
-            ctx.global_write(&[16], 8); // below BASE_ADDR
+            write(ctx, &[16], 8); // below BASE_ADDR
         });
     }
 
@@ -898,7 +891,7 @@ mod tests {
         let mut s = sim();
         let buf = s.alloc(4, 8);
         s.launch(1, 32, |_, ctx| {
-            ctx.tex_read(&[buf.base + (1 << 20)], 8);
+            tex(ctx, &[buf.base + (1 << 20)], 8);
         });
     }
 
@@ -920,8 +913,8 @@ mod tests {
         // the bounds check must stay silent for them.
         let mut s = sim();
         s.launch(1, 32, |_, ctx| {
-            ctx.global_read(&[0, 128, 1 << 40], 8);
-            ctx.tex_read(&[42], 8);
+            read(ctx, &[0, 128, 1 << 40], 8);
+            tex(ctx, &[42], 8);
         });
         assert!(s.stats().global_read_txns >= 3);
     }
@@ -933,7 +926,7 @@ mod tests {
         let mut s = sim();
         s.launch(1, 32, |_, ctx| {
             let addrs: Vec<u64> = (0..33).map(|i| i * 8).collect();
-            ctx.global_read(&addrs, 8);
+            read(ctx, &addrs, 8);
         });
     }
 
@@ -943,7 +936,7 @@ mod tests {
     fn zero_byte_access_panics_in_debug() {
         let mut s = sim();
         s.launch(1, 32, |_, ctx| {
-            ctx.global_read(&[0x1000], 0);
+            read(ctx, &[0x1000], 0);
         });
     }
 
@@ -1052,8 +1045,8 @@ mod tests {
             let span = s.trace_begin("wrapped");
             s.launch(7, 64, |b, ctx| {
                 let addrs: Vec<u64> = (0..32).map(|i| (b as u64 * 7 + i) * 8 % 2048).collect();
-                ctx.global_read(&addrs, 8);
-                ctx.tex_read(&addrs, 8);
+                read(ctx, &addrs, 8);
+                tex(ctx, &addrs, 8);
                 ctx.flops(b as u64);
             });
             s.trace_end(span);

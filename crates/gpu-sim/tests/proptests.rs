@@ -1,6 +1,6 @@
 //! Property-based tests of the simulator's accounting invariants.
 
-use bro_gpu_sim::{BlockCtx, DeviceProfile, DeviceSim, KernelReport, SetAssocCache};
+use bro_gpu_sim::{BlockCtx, DeviceProfile, DeviceSim, KernelReport, SetAssocCache, WarpAccess};
 use proptest::prelude::*;
 
 /// Reference LRU: per-way last-use stamps, evicting the minimum stamp
@@ -51,6 +51,12 @@ impl StampLru {
     }
 }
 
+/// Adds `addrs` to a warp access one lane at a time, then charges it.
+fn narrate(mut warp: WarpAccess<'_>, addrs: &[u64]) {
+    addrs.iter().for_each(|&a| warp.lane(a));
+    warp.end();
+}
+
 /// Reference coalescer: every segment each lane touches, sorted and
 /// deduplicated.
 fn distinct_segments(addrs: &[u64], elem_bytes: u64, txn_bytes: u64) -> u64 {
@@ -86,9 +92,7 @@ proptest! {
     fn coalescing_bounds(addrs in prop::collection::vec(0u64..1_000_000, 1..32)) {
         let mut sim = DeviceSim::new(DeviceProfile::tesla_c2070());
         let a = addrs.clone();
-        sim.launch(1, 32, move |_, ctx| {
-            ctx.global_read(&a, 4);
-        });
+        sim.launch(1, 32, move |_, ctx| narrate(ctx.load(4), &a));
         let txns = sim.stats().global_read_txns;
         prop_assert!(txns >= 1);
         // 4-byte elements can straddle at most 2 segments each.
@@ -104,7 +108,7 @@ proptest! {
         let addrs: Vec<u64> = (0..lanes as u64).map(|i| base + i * 4).collect();
         let mut sim = DeviceSim::new(DeviceProfile::tesla_k20());
         let a = addrs.clone();
-        sim.launch(1, 32, move |_, ctx| ctx.global_read(&a, 4));
+        sim.launch(1, 32, move |_, ctx| narrate(ctx.load(4), &a));
         let span = lanes * 4;
         prop_assert_eq!(sim.stats().global_read_txns, span.div_ceil(128) as u64);
     }
@@ -155,8 +159,8 @@ proptest! {
     /// One-pass coalescing counts the same transactions as sort + dedup, for
     /// lanes in order, reversed, duplicated or shuffled, spread out and then
     /// stepping back, and for elements of 1 to 256 bytes straddling segment
-    /// boundaries; whether the lanes come as a slice or one by one between
-    /// other lanes' texture reads.
+    /// boundaries; whether the lanes come one by one, one by one between
+    /// other lanes' texture reads, or as spans of consecutive elements.
     #[test]
     fn coalescing_matches_sort_dedup(
         base in 0u64..4096,
@@ -188,8 +192,8 @@ proptest! {
         let mut sim = DeviceSim::new(DeviceProfile::tesla_k20());
         let a = addrs.clone();
         sim.launch(1, 32, move |_, ctx| {
-            ctx.global_read(&a, elem_bytes);
-            ctx.global_write(&a, elem_bytes);
+            narrate(ctx.load(elem_bytes), &a);
+            narrate(ctx.store(elem_bytes), &a);
         });
         let expect = distinct_segments(&addrs, elem_bytes, 128);
         prop_assert_eq!(sim.stats().global_read_txns, expect, "lanes {:?}", addrs);
@@ -212,6 +216,26 @@ proptest! {
         prop_assert_eq!(got.global_write_txns, expect);
         prop_assert_eq!(got.global_load_instrs + got.global_store_instrs, 2);
         prop_assert_eq!(got.tex_accesses, 2 * addrs.len() as u64);
+
+        // Runs of lanes reading consecutive elements, each added as a span.
+        let mut spans = DeviceSim::new(DeviceProfile::tesla_k20());
+        let a = addrs.clone();
+        spans.launch(1, 32, move |_, ctx| {
+            let mut warp = ctx.load(elem_bytes);
+            let mut i = 0;
+            while i < a.len() {
+                let n = 1 + a[i + 1..]
+                    .iter()
+                    .zip(&a[i..])
+                    .take_while(|&(&next, &prev)| next == prev + elem_bytes)
+                    .count();
+                warp.lanes(a[i], n);
+                i += n;
+            }
+            warp.end();
+        });
+        prop_assert_eq!(spans.stats().global_read_txns, expect);
+        prop_assert_eq!(spans.stats().global_load_instrs, 1);
     }
 
     /// Repeating an access sequence entirely within capacity yields 100%

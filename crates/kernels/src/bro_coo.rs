@@ -14,7 +14,7 @@ use bro_core::BroCoo;
 use bro_gpu_sim::DeviceSim;
 use bro_matrix::Scalar;
 
-use crate::common::{apply_updates, AddrBatch};
+use crate::common::apply_updates;
 use crate::BLOCK_SIZE;
 
 /// Integer ops per lane and step for delta decode.
@@ -162,19 +162,16 @@ pub fn bro_coo_spmv<T: Scalar, W: Symbol>(
     sim.launch(all_carries.len().div_ceil(BLOCK_SIZE).max(1), BLOCK_SIZE, |b, ctx| {
         let start = b * BLOCK_SIZE;
         let end = (start + BLOCK_SIZE).min(carries_ref.len());
-        let mut batch = AddrBatch::new();
+        let mut atomics = Vec::with_capacity(warp_copy);
         for w0 in (start..end).step_by(warp_copy) {
             let lanes = (end - w0).min(warp_copy);
-            batch.clear();
-            for l in 0..lanes {
-                batch.push(carry_buf, w0 + l);
-            }
-            ctx.global_read(batch.addrs(), (4 + T::BYTES) as u64);
-            batch.clear();
-            for l in 0..lanes {
-                batch.push(y_buf, carries_ref[w0 + l].0 as usize);
-            }
-            ctx.atomic_rmw(batch.addrs());
+            let mut load = ctx.load((4 + T::BYTES) as u64);
+            load.lanes(carry_buf.addr(w0), lanes);
+            load.end();
+            atomics.clear();
+            atomics
+                .extend(carries_ref[w0..w0 + lanes].iter().map(|&(r, _)| y_buf.addr(r as usize)));
+            ctx.atomic_rmw(&atomics);
             ctx.flops(lanes as u64);
         }
     });

@@ -25,7 +25,7 @@ use bro_core::{BroEll, BroEllSlice};
 use bro_gpu_sim::{BlockCtx, BufferAddr, DeviceSim};
 use bro_matrix::Scalar;
 
-use crate::common::assemble_rows;
+use crate::common::{assemble_rows, LaneRun};
 
 /// Integer-op cost charged per lane and iteration when decoding from the
 /// buffer (compare, extract, shift, accumulate, validity test).
@@ -143,26 +143,21 @@ impl<'a, T: Scalar, W: Symbol> SliceLaunch<'a, T, W> {
                 let lane_vals = slice.vals[first..first + lanes].iter();
                 let lane_y = y_local[w0..w0 + lanes].iter_mut();
                 let mut vals = ctx.load(elem);
-                // Runs of consecutive valid lanes load consecutive values.
-                let (mut run, mut run_len) = (first, 0);
+                let mut run = LaneRun::new(val_buf);
                 for ((((&d, col), &v), y), i) in
                     dec.deltas().iter().zip(&mut cols).zip(lane_vals).zip(lane_y).zip(first..)
                 {
                     if d != 0 {
                         *col += d as usize;
-                        if run_len == 0 {
-                            run = i;
-                        }
-                        run_len += 1;
+                        run.lane(i);
                         vals.tex_lane(self.x_buf.addr(*col - 1), elem);
                         *y = v.mul_add(self.x[*col - 1], *y);
                         active += 1;
-                    } else if run_len > 0 {
-                        vals.lanes(val_buf.addr(run), run_len);
-                        run_len = 0;
+                    } else {
+                        run.end(&mut vals);
                     }
                 }
-                vals.lanes(val_buf.addr(run), run_len);
+                run.end(&mut vals);
                 vals.end();
                 ctx.flops(2 * active);
             }

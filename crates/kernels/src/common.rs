@@ -1,39 +1,44 @@
 //! Shared helpers for the simulated kernels.
 
-use bro_gpu_sim::BufferAddr;
+use bro_gpu_sim::{BufferAddr, WarpAccess};
 use bro_matrix::Scalar;
 
-/// Reusable per-warp address buffer: collect the byte addresses of a warp
-/// instruction's active lanes without reallocating.
-#[derive(Debug, Default)]
-pub struct AddrBatch {
-    addrs: Vec<u64>,
+/// A run of consecutive active lanes reading consecutive elements of one
+/// buffer. The kernel adds a warp's active lanes in order with
+/// [`lane`](LaneRun::lane) and calls [`end`](LaneRun::end) at every
+/// inactive lane and after the last lane; each run then goes to the warp
+/// access as one span.
+#[derive(Debug, Clone, Copy)]
+pub struct LaneRun {
+    buf: BufferAddr,
+    start: usize,
+    len: usize,
 }
 
-impl AddrBatch {
-    /// An empty batch.
-    pub fn new() -> Self {
-        AddrBatch { addrs: Vec::with_capacity(32) }
+impl LaneRun {
+    /// An empty run over `buf`.
+    pub fn new(buf: BufferAddr) -> Self {
+        LaneRun { buf, start: 0, len: 0 }
     }
 
-    /// Clears the batch for the next warp instruction.
-    pub fn clear(&mut self) {
-        self.addrs.clear();
+    /// Adds the active lane reading element `i` of the buffer: the element
+    /// after the run's last one, or the first of a new run.
+    #[inline]
+    pub fn lane(&mut self, i: usize) {
+        if self.len == 0 {
+            self.start = i;
+        }
+        self.len += 1;
     }
 
-    /// Adds the address of element `i` of `buf`.
-    pub fn push(&mut self, buf: BufferAddr, i: usize) {
-        self.addrs.push(buf.addr(i));
-    }
-
-    /// The collected addresses.
-    pub fn addrs(&self) -> &[u64] {
-        &self.addrs
-    }
-
-    /// Whether any lane is active.
-    pub fn is_empty(&self) -> bool {
-        self.addrs.is_empty()
+    /// Ends the run at an inactive lane or the warp's end, adding it to
+    /// `access`.
+    #[inline]
+    pub fn end(&mut self, access: &mut WarpAccess<'_>) {
+        if self.len > 0 {
+            access.lanes(self.buf.addr(self.start), self.len);
+            self.len = 0;
+        }
     }
 }
 
@@ -59,20 +64,38 @@ pub fn apply_updates<T: Scalar>(y: &mut [T], updates: impl IntoIterator<Item = (
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bro_gpu_sim::AddrSpace;
+    use bro_gpu_sim::{DeviceProfile, DeviceSim};
 
     #[test]
-    fn addr_batch_collects() {
-        let mut sp = AddrSpace::new();
-        let buf = sp.alloc(10, 4);
-        let mut b = AddrBatch::new();
-        assert!(b.is_empty());
-        b.push(buf, 0);
-        b.push(buf, 2);
-        assert_eq!(b.addrs().len(), 2);
-        assert_eq!(b.addrs()[1] - b.addrs()[0], 8);
-        b.clear();
-        assert!(b.is_empty());
+    fn lane_runs_charge_what_single_lanes_charge() {
+        // Lanes 0-2, 5, 6 and 40-41 of an 8-byte buffer: three runs.
+        let active = [0, 1, 2, 5, 6, 40, 41];
+        let mut by_run = DeviceSim::new(DeviceProfile::tesla_k20());
+        let buf = by_run.alloc(64, 8);
+        by_run.launch(1, 32, |_, ctx| {
+            let mut load = ctx.load(8);
+            let mut run = LaneRun::new(buf);
+            for i in 0..64 {
+                if active.contains(&i) {
+                    run.lane(i);
+                } else {
+                    run.end(&mut load);
+                }
+            }
+            run.end(&mut load);
+            load.end();
+        });
+        let mut by_lane = DeviceSim::new(DeviceProfile::tesla_k20());
+        let buf = by_lane.alloc(64, 8);
+        by_lane.launch(1, 32, |_, ctx| {
+            let mut load = ctx.load(8);
+            for i in active {
+                load.lane(buf.addr(i));
+            }
+            load.end();
+        });
+        assert_eq!(by_run.stats(), by_lane.stats());
+        assert_eq!(by_run.stats().global_read_txns, 2);
     }
 
     #[test]

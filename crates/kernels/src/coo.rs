@@ -8,11 +8,15 @@
 //! emitted as carries and folded into `y` by a second, tiny reduction
 //! kernel — the "extra kernel invocation for data reduction" the paper
 //! mentions.
+//!
+//! The simulator narrates one warp step at a time: the row and column
+//! loads are single spans, and while the value span loads, each lane reads
+//! `x` through the texture cache and multiply-adds into its segment.
 
 use bro_gpu_sim::DeviceSim;
 use bro_matrix::{CooMatrix, Scalar};
 
-use crate::common::{apply_updates, AddrBatch};
+use crate::common::apply_updates;
 use crate::BLOCK_SIZE;
 
 /// Default entries per warp interval.
@@ -57,6 +61,7 @@ pub fn coo_spmv_with<T: Scalar>(
     let rows_arr = coo.row_indices();
     let cols_arr = coo.col_indices();
     let vals_arr = coo.values();
+    let elem = T::BYTES as u64;
 
     // Main kernel: per-warp segmented products.
     sim.label_next_launch("coo/intervals");
@@ -65,7 +70,6 @@ pub fn coo_spmv_with<T: Scalar>(
         sim.launch(blocks, BLOCK_SIZE, |b, ctx| {
             let mut direct: Vec<(u32, T)> = Vec::new();
             let mut carries: Vec<(u32, T)> = Vec::new();
-            let mut batch = AddrBatch::new();
             for wi in 0..warps_per_block {
                 let iv = b * warps_per_block + wi;
                 if iv >= intervals {
@@ -89,58 +93,51 @@ pub fn coo_spmv_with<T: Scalar>(
                     };
                 for step0 in (0..len).step_by(warp) {
                     let lanes = (len - step0).min(warp);
+                    let steps = start + step0..start + step0 + lanes;
                     // Three coalesced loads: row, col, val.
-                    batch.clear();
-                    for l in 0..lanes {
-                        batch.push(row_buf, start + step0 + l);
+                    for (buf, bytes) in [(row_buf, 4), (col_buf, 4)] {
+                        let mut load = ctx.load(bytes);
+                        load.lanes(buf.addr(steps.start), lanes);
+                        load.end();
                     }
-                    ctx.global_read(batch.addrs(), 4);
-                    batch.clear();
-                    for l in 0..lanes {
-                        batch.push(col_buf, start + step0 + l);
+                    let mut load = ctx.load(elem);
+                    load.lanes(val_buf.addr(steps.start), lanes);
+                    // While the values load, x gathers through the texture
+                    // cache and the lanes multiply-add into their segments.
+                    for ((&r, &c), &v) in rows_arr[steps.clone()]
+                        .iter()
+                        .zip(&cols_arr[steps.clone()])
+                        .zip(&vals_arr[steps])
+                    {
+                        load.tex_lane(x_buf.addr(c as usize), elem);
+                        if r != seg_row {
+                            flush(seg_row, seg_sum, &mut direct, &mut carries);
+                            seg_row = r;
+                            seg_sum = T::ZERO;
+                        }
+                        seg_sum = v.mul_add(x[c as usize], seg_sum);
                     }
-                    ctx.global_read(batch.addrs(), 4);
-                    batch.clear();
-                    for l in 0..lanes {
-                        batch.push(val_buf, start + step0 + l);
-                    }
-                    ctx.global_read(batch.addrs(), T::BYTES as u64);
-                    // x gathers through the texture cache.
-                    batch.clear();
-                    for l in 0..lanes {
-                        batch.push(x_buf, cols_arr[start + step0 + l] as usize);
-                    }
-                    ctx.tex_read(batch.addrs(), T::BYTES as u64);
+                    load.end();
                     ctx.flops(2 * lanes as u64);
                     // Warp-level segmented reduction: log2(w) shuffle steps.
                     ctx.warp_ops(warp.ilog2() as u64 * lanes as u64);
                     ctx.int_ops(2 * lanes as u64);
-
-                    for l in 0..lanes {
-                        let p = start + step0 + l;
-                        if rows_arr[p] != seg_row {
-                            flush(seg_row, seg_sum, &mut direct, &mut carries);
-                            seg_row = rows_arr[p];
-                            seg_sum = T::ZERO;
-                        }
-                        seg_sum = vals_arr[p].mul_add(x[cols_arr[p] as usize], seg_sum);
-                    }
                 }
                 flush(seg_row, seg_sum, &mut direct, &mut carries);
-
-                // Direct writes: scattered stores grouped per warp.
+                // Direct writes: scattered stores grouped per warp. `direct`
+                // holds the block's earlier intervals too, so their stores
+                // are charged again; the golden counts include this.
                 for group in direct.chunks(warp) {
-                    batch.clear();
+                    let mut store = ctx.store(elem);
                     for &(r, _) in group {
-                        batch.push(y_buf, r as usize);
+                        store.lane(y_buf.addr(r as usize));
                     }
-                    ctx.global_write(batch.addrs(), T::BYTES as u64);
+                    store.end();
                 }
                 // Carries: coalesced append to the carry buffer.
-                batch.clear();
-                batch.push(carry_buf, iv * 2);
-                batch.push(carry_buf, iv * 2 + 1);
-                ctx.global_write(batch.addrs(), (4 + T::BYTES) as u64);
+                let mut store = ctx.store(4 + elem);
+                store.lanes(carry_buf.addr(iv * 2), 2);
+                store.end();
             }
             (direct, carries)
         });
@@ -158,19 +155,16 @@ pub fn coo_spmv_with<T: Scalar>(
     sim.launch(all_carries.len().div_ceil(BLOCK_SIZE).max(1), BLOCK_SIZE, |b, ctx| {
         let start = b * BLOCK_SIZE;
         let end = (start + BLOCK_SIZE).min(carries_ref.len());
-        let mut batch = AddrBatch::new();
+        let mut atomics = Vec::with_capacity(warp_copy);
         for w0 in (start..end).step_by(warp_copy) {
             let lanes = (end - w0).min(warp_copy);
-            batch.clear();
-            for l in 0..lanes {
-                batch.push(carry_buf, w0 + l);
-            }
-            ctx.global_read(batch.addrs(), (4 + T::BYTES) as u64);
-            batch.clear();
-            for l in 0..lanes {
-                batch.push(y_buf, carries_ref[w0 + l].0 as usize);
-            }
-            ctx.atomic_rmw(batch.addrs());
+            let mut load = ctx.load(4 + elem);
+            load.lanes(carry_buf.addr(w0), lanes);
+            load.end();
+            atomics.clear();
+            atomics
+                .extend(carries_ref[w0..w0 + lanes].iter().map(|&(r, _)| y_buf.addr(r as usize)));
+            ctx.atomic_rmw(&atomics);
             ctx.flops(lanes as u64);
         }
     });

@@ -15,7 +15,7 @@
 use bro_gpu_sim::DeviceSim;
 use bro_matrix::{CsrMatrix, Scalar};
 
-use crate::common::{assemble_rows, AddrBatch};
+use crate::common::assemble_rows;
 use crate::BLOCK_SIZE;
 
 /// csr-scalar: one thread per row.
@@ -31,6 +31,8 @@ pub fn csr_scalar_spmv<T: Scalar>(sim: &mut DeviceSim, csr: &CsrMatrix<T>, x: &[
     let val_buf = sim.alloc(csr.nnz().max(1), T::BYTES);
     let x_buf = sim.alloc(x.len().max(1), T::BYTES);
     let y_buf = sim.alloc(m, T::BYTES);
+    let (cols, vals) = (csr.col_indices(), csr.values());
+    let elem = T::BYTES as u64;
 
     let warp = sim.profile().warp_size;
     let blocks = m.div_ceil(BLOCK_SIZE);
@@ -39,61 +41,50 @@ pub fn csr_scalar_spmv<T: Scalar>(sim: &mut DeviceSim, csr: &CsrMatrix<T>, x: &[
         let row0 = b * BLOCK_SIZE;
         let height = (m - row0).min(BLOCK_SIZE);
         let mut y_local = vec![T::ZERO; height];
-        let mut batch = AddrBatch::new();
-        let mut col_batch = AddrBatch::new();
-        let mut val_batch = AddrBatch::new();
-        let mut x_batch = AddrBatch::new();
-        let mut active: Vec<usize> = Vec::with_capacity(warp);
         for w0 in (0..height).step_by(warp) {
             let lanes = (height - w0).min(warp);
+            let first_row = row0 + w0;
+            let y_warp = &mut y_local[w0..w0 + lanes];
             // Row-pointer loads (coalesced).
-            batch.clear();
-            for l in 0..lanes {
-                batch.push(ptr_buf, row0 + w0 + l);
+            for first in [first_row, first_row + 1] {
+                let mut load = ctx.load(8);
+                load.lanes(ptr_buf.addr(first), lanes);
+                load.end();
             }
-            ctx.global_read(batch.addrs(), 8);
-            batch.clear();
-            for l in 0..lanes {
-                batch.push(ptr_buf, row0 + w0 + l + 1);
-            }
-            ctx.global_read(batch.addrs(), 8);
+            // Lane l's row is `bounds[l]..bounds[l + 1]`.
+            let bounds = &csr.row_ptr()[first_row..=first_row + lanes];
 
             // The warp steps until its longest row is done; in each step
             // every active lane reads position `start + j` of ITS OWN row —
             // scattered addresses, hence poor coalescing.
-            let warp_max = (0..lanes).map(|l| csr.row_len(row0 + w0 + l)).max().unwrap_or(0);
+            let warp_max = bounds.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
             for j in 0..warp_max {
-                col_batch.clear();
-                val_batch.clear();
-                x_batch.clear();
-                active.clear();
-                for l in 0..lanes {
-                    let r = row0 + w0 + l;
-                    if j < csr.row_len(r) {
-                        let p = csr.row_ptr()[r] + j;
-                        col_batch.push(col_buf, p);
-                        val_batch.push(val_buf, p);
-                        x_batch.push(x_buf, csr.col_indices()[p] as usize);
-                        active.push(l);
+                let mut load = ctx.load(4);
+                for w in bounds.windows(2) {
+                    if w[0] + j < w[1] {
+                        load.lane(col_buf.addr(w[0] + j));
                     }
                 }
-                ctx.global_read(col_batch.addrs(), 4);
-                ctx.global_read(val_batch.addrs(), T::BYTES as u64);
-                ctx.tex_read(x_batch.addrs(), T::BYTES as u64);
-                ctx.flops(2 * active.len() as u64);
-                ctx.int_ops(2 * active.len() as u64);
-                for &l in &active {
-                    let r = row0 + w0 + l;
-                    let p = csr.row_ptr()[r] + j;
-                    let c = csr.col_indices()[p] as usize;
-                    y_local[w0 + l] = csr.values()[p].mul_add(x[c], y_local[w0 + l]);
+                load.end();
+                let mut load = ctx.load(elem);
+                let mut active = 0;
+                for (w, y) in bounds.windows(2).zip(y_warp.iter_mut()) {
+                    let p = w[0] + j;
+                    if p < w[1] {
+                        load.lane(val_buf.addr(p));
+                        let c = cols[p] as usize;
+                        load.tex_lane(x_buf.addr(c), elem);
+                        *y = vals[p].mul_add(x[c], *y);
+                        active += 1;
+                    }
                 }
+                load.end();
+                ctx.flops(2 * active);
+                ctx.int_ops(2 * active);
             }
-            batch.clear();
-            for l in 0..lanes {
-                batch.push(y_buf, row0 + w0 + l);
-            }
-            ctx.global_write(batch.addrs(), T::BYTES as u64);
+            let mut store = ctx.store(elem);
+            store.lanes(y_buf.addr(first_row), lanes);
+            store.end();
         }
         y_local
     });
@@ -114,6 +105,8 @@ pub fn csr_vector_spmv<T: Scalar>(sim: &mut DeviceSim, csr: &CsrMatrix<T>, x: &[
     let val_buf = sim.alloc(csr.nnz().max(1), T::BYTES);
     let x_buf = sim.alloc(x.len().max(1), T::BYTES);
     let y_buf = sim.alloc(m, T::BYTES);
+    let (cols, vals) = (csr.col_indices(), csr.values());
+    let elem = T::BYTES as u64;
 
     let warp = sim.profile().warp_size;
     let warps_per_block = BLOCK_SIZE / warp;
@@ -123,40 +116,35 @@ pub fn csr_vector_spmv<T: Scalar>(sim: &mut DeviceSim, csr: &CsrMatrix<T>, x: &[
         let row0 = b * warps_per_block;
         let height = (m - row0).min(warps_per_block);
         let mut y_local = vec![T::ZERO; height];
-        let mut batch = AddrBatch::new();
         for (i, y_out) in y_local.iter_mut().enumerate() {
             let r = row0 + i;
             // Two lanes read the row bounds.
-            ctx.global_read(&[ptr_buf.addr(r), ptr_buf.addr(r + 1)], 8);
+            let mut load = ctx.load(8);
+            load.lanes(ptr_buf.addr(r), 2);
+            load.end();
             let (start, end) = (csr.row_ptr()[r], csr.row_ptr()[r + 1]);
             let mut sum = T::ZERO;
             for chunk0 in (start..end).step_by(warp) {
                 let lanes = (end - chunk0).min(warp);
-                batch.clear();
-                for l in 0..lanes {
-                    batch.push(col_buf, chunk0 + l);
+                let mut load = ctx.load(4);
+                load.lanes(col_buf.addr(chunk0), lanes);
+                load.end();
+                let mut load = ctx.load(elem);
+                load.lanes(val_buf.addr(chunk0), lanes);
+                for p in chunk0..chunk0 + lanes {
+                    let c = cols[p] as usize;
+                    load.tex_lane(x_buf.addr(c), elem);
+                    sum = vals[p].mul_add(x[c], sum);
                 }
-                ctx.global_read(batch.addrs(), 4);
-                batch.clear();
-                for l in 0..lanes {
-                    batch.push(val_buf, chunk0 + l);
-                }
-                ctx.global_read(batch.addrs(), T::BYTES as u64);
-                batch.clear();
-                for l in 0..lanes {
-                    batch.push(x_buf, csr.col_indices()[chunk0 + l] as usize);
-                }
-                ctx.tex_read(batch.addrs(), T::BYTES as u64);
+                load.end();
                 ctx.flops(2 * lanes as u64);
-                for l in 0..lanes {
-                    let p = chunk0 + l;
-                    sum = csr.values()[p].mul_add(x[csr.col_indices()[p] as usize], sum);
-                }
             }
             // Warp shuffle reduction of the partial sums.
             ctx.warp_ops(warp.ilog2() as u64 * warp as u64);
             // Lane 0 writes the result.
-            ctx.global_write(&[y_buf.addr(r)], T::BYTES as u64);
+            let mut store = ctx.store(elem);
+            store.lane(y_buf.addr(r));
+            store.end();
             *y_out = sum;
         }
         y_local

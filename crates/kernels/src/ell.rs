@@ -5,11 +5,15 @@
 //! coalesced access. Every thread iterates over all `k` slots and tests the
 //! padding marker, which is exactly the redundant work ELLPACK-R and the
 //! `num_col` array of BRO-ELL remove.
+//!
+//! The simulator narrates one warp at a time: the index load is a single
+//! span, and the non-padding lanes load their value, read `x` through the
+//! texture cache and multiply-add in one pass, each run of them one span.
 
 use bro_gpu_sim::DeviceSim;
 use bro_matrix::{EllMatrix, Scalar, INVALID_INDEX};
 
-use crate::common::{assemble_rows, AddrBatch};
+use crate::common::{assemble_rows, LaneRun};
 use crate::BLOCK_SIZE;
 
 /// Computes `y = A·x` for an ELLPACK matrix on the simulated device.
@@ -27,6 +31,9 @@ pub fn ell_spmv<T: Scalar>(sim: &mut DeviceSim, ell: &EllMatrix<T>, x: &[T]) -> 
     let x_buf = sim.alloc(x.len().max(1), T::BYTES);
     let y_buf = sim.alloc(m, T::BYTES);
 
+    let (cols, vals) = (ell.col_idx_raw(), ell.vals_raw());
+    let elem = T::BYTES as u64;
+
     let warp = sim.profile().warp_size;
     let blocks = m.div_ceil(BLOCK_SIZE);
     sim.label_next_launch("ell/rows");
@@ -34,49 +41,41 @@ pub fn ell_spmv<T: Scalar>(sim: &mut DeviceSim, ell: &EllMatrix<T>, x: &[T]) -> 
         let row0 = b * BLOCK_SIZE;
         let height = (m - row0).min(BLOCK_SIZE);
         let mut y_local = vec![T::ZERO; height];
-        let mut batch = AddrBatch::new();
-        let mut val_batch = AddrBatch::new();
-        let mut x_batch = AddrBatch::new();
-        let mut active: Vec<(usize, u32)> = Vec::with_capacity(warp);
         for w0 in (0..height).step_by(warp) {
             let lanes = (height - w0).min(warp);
+            let y_warp = &mut y_local[w0..w0 + lanes];
             for j in 0..k {
                 // Coalesced column-index load for the warp.
-                batch.clear();
-                for l in 0..lanes {
-                    batch.push(col_buf, j * stride + row0 + w0 + l);
-                }
-                ctx.global_read(batch.addrs(), 4);
+                let first = j * stride + row0 + w0;
+                let mut load = ctx.load(4);
+                load.lanes(col_buf.addr(first), lanes);
+                load.end();
                 // Padding test per lane.
                 ctx.int_ops(2 * lanes as u64);
-
-                // Gather the active (non-padding) lanes.
-                val_batch.clear();
-                x_batch.clear();
-                active.clear();
-                for l in 0..lanes {
-                    let r = row0 + w0 + l;
-                    let c = ell.col_at(r, j);
+                // Non-padding lanes load their value, read x and multiply-add.
+                let mut load = ctx.load(elem);
+                let mut run = LaneRun::new(val_buf);
+                let mut active = 0;
+                for ((i, &c), y) in
+                    (first..).zip(&cols[first..first + lanes]).zip(y_warp.iter_mut())
+                {
                     if c != INVALID_INDEX {
-                        val_batch.push(val_buf, j * stride + r);
-                        x_batch.push(x_buf, c as usize);
-                        active.push((l, c));
+                        run.lane(i);
+                        load.tex_lane(x_buf.addr(c as usize), elem);
+                        *y = vals[i].mul_add(x[c as usize], *y);
+                        active += 1;
+                    } else {
+                        run.end(&mut load);
                     }
                 }
-                ctx.global_read(val_batch.addrs(), T::BYTES as u64);
-                ctx.tex_read(x_batch.addrs(), T::BYTES as u64);
-                ctx.flops(2 * active.len() as u64);
-                for &(l, c) in &active {
-                    let r = row0 + w0 + l;
-                    y_local[w0 + l] = ell.val_at(r, j).mul_add(x[c as usize], y_local[w0 + l]);
-                }
+                run.end(&mut load);
+                load.end();
+                ctx.flops(2 * active);
             }
             // Coalesced store of the warp's results.
-            batch.clear();
-            for l in 0..lanes {
-                batch.push(y_buf, row0 + w0 + l);
-            }
-            ctx.global_write(batch.addrs(), T::BYTES as u64);
+            let mut store = ctx.store(elem);
+            store.lanes(y_buf.addr(row0 + w0), lanes);
+            store.end();
         }
         y_local
     });

@@ -5,11 +5,15 @@
 //! only while *some* lane of the warp is still active, and each memory
 //! instruction carries only the still-active lanes. No padding test is
 //! needed inside the loop.
+//!
+//! The simulator narrates one warp at a time, as for ELLPACK: each run of
+//! still-active lanes is one span of the index load, and one span of the
+//! value load during which those lanes read `x` and multiply-add.
 
 use bro_gpu_sim::DeviceSim;
 use bro_matrix::{EllRMatrix, Scalar};
 
-use crate::common::{assemble_rows, AddrBatch};
+use crate::common::{assemble_rows, LaneRun};
 use crate::BLOCK_SIZE;
 
 /// Computes `y = A·x` for an ELLPACK-R matrix on the simulated device.
@@ -30,6 +34,9 @@ pub fn ellr_spmv<T: Scalar>(sim: &mut DeviceSim, ellr: &EllRMatrix<T>, x: &[T]) 
     let y_buf = sim.alloc(m, T::BYTES);
 
     let lengths = ellr.row_lengths();
+    let (cols, vals) = (ell.col_idx_raw(), ell.vals_raw());
+    let elem = T::BYTES as u64;
+
     let warp = sim.profile().warp_size;
     let blocks = m.div_ceil(BLOCK_SIZE);
     sim.label_next_launch("ellr/rows");
@@ -37,53 +44,54 @@ pub fn ellr_spmv<T: Scalar>(sim: &mut DeviceSim, ellr: &EllRMatrix<T>, x: &[T]) 
         let row0 = b * BLOCK_SIZE;
         let height = (m - row0).min(BLOCK_SIZE);
         let mut y_local = vec![T::ZERO; height];
-        let mut batch = AddrBatch::new();
-        let mut col_batch = AddrBatch::new();
-        let mut val_batch = AddrBatch::new();
-        let mut x_batch = AddrBatch::new();
-        let mut active: Vec<usize> = Vec::with_capacity(warp);
         for w0 in (0..height).step_by(warp) {
             let lanes = (height - w0).min(warp);
+            let lens = &lengths[row0 + w0..row0 + w0 + lanes];
+            let y_warp = &mut y_local[w0..w0 + lanes];
             // Coalesced row_length load.
-            batch.clear();
-            for l in 0..lanes {
-                batch.push(len_buf, row0 + w0 + l);
-            }
-            ctx.global_read(batch.addrs(), 4);
-
+            let mut load = ctx.load(4);
+            load.lanes(len_buf.addr(row0 + w0), lanes);
+            load.end();
             // The warp iterates to the longest row among its lanes.
-            let warp_max = (0..lanes).map(|l| lengths[row0 + w0 + l] as usize).max().unwrap_or(0);
+            let warp_max = lens.iter().max().copied().unwrap_or(0) as usize;
             for j in 0..warp_max {
-                col_batch.clear();
-                val_batch.clear();
-                x_batch.clear();
-                active.clear();
-                for l in 0..lanes {
-                    let r = row0 + w0 + l;
-                    if j < lengths[r] as usize {
-                        col_batch.push(col_buf, j * stride + r);
-                        val_batch.push(val_buf, j * stride + r);
-                        x_batch.push(x_buf, ell.col_at(r, j) as usize);
-                        active.push(l);
+                // The lanes still inside their rows load their index, ...
+                let first = j * stride + row0 + w0;
+                let mut load = ctx.load(4);
+                let mut run = LaneRun::new(col_buf);
+                for (i, &len) in (first..).zip(lens) {
+                    if j < len as usize {
+                        run.lane(i);
+                    } else {
+                        run.end(&mut load);
                     }
                 }
-                ctx.global_read(col_batch.addrs(), 4);
-                ctx.global_read(val_batch.addrs(), T::BYTES as u64);
-                ctx.tex_read(x_batch.addrs(), T::BYTES as u64);
-                // Loop bookkeeping only — no padding test.
-                ctx.int_ops(active.len() as u64);
-                ctx.flops(2 * active.len() as u64);
-                for &l in &active {
-                    let r = row0 + w0 + l;
-                    let c = ell.col_at(r, j) as usize;
-                    y_local[w0 + l] = ell.val_at(r, j).mul_add(x[c], y_local[w0 + l]);
+                run.end(&mut load);
+                load.end();
+                // ... then load their value, read x and multiply-add.
+                let mut load = ctx.load(elem);
+                let mut run = LaneRun::new(val_buf);
+                let mut active = 0;
+                for ((i, &len), y) in (first..).zip(lens).zip(y_warp.iter_mut()) {
+                    if j < len as usize {
+                        run.lane(i);
+                        let c = cols[i] as usize;
+                        load.tex_lane(x_buf.addr(c), elem);
+                        *y = vals[i].mul_add(x[c], *y);
+                        active += 1;
+                    } else {
+                        run.end(&mut load);
+                    }
                 }
+                run.end(&mut load);
+                load.end();
+                // Loop bookkeeping only — no padding test.
+                ctx.int_ops(active);
+                ctx.flops(2 * active);
             }
-            batch.clear();
-            for l in 0..lanes {
-                batch.push(y_buf, row0 + w0 + l);
-            }
-            ctx.global_write(batch.addrs(), T::BYTES as u64);
+            let mut store = ctx.store(elem);
+            store.lanes(y_buf.addr(row0 + w0), lanes);
+            store.end();
         }
         y_local
     });

@@ -14,7 +14,6 @@ use bro_gpu_sim::DeviceSim;
 use bro_matrix::{CooMatrix, Scalar};
 
 use crate::bro_ell::bro_ell_spmv;
-use crate::common::AddrBatch;
 use crate::BLOCK_SIZE;
 
 /// Reshapes a matrix so each row becomes `t` interleaved sub-rows.
@@ -73,25 +72,23 @@ pub fn reduce_subrows<T: Scalar>(
         let row0 = b * BLOCK_SIZE;
         let height = (rows - row0).min(BLOCK_SIZE);
         let mut out = vec![T::ZERO; height];
-        let mut batch = AddrBatch::new();
         for w0 in (0..height).step_by(warp) {
             let lanes = (height - w0).min(warp);
             for i in 0..t {
-                batch.clear();
+                // Lane l reads partial sum i of its row: stride t.
+                let mut load = ctx.load(T::BYTES as u64);
                 for l in 0..lanes {
-                    batch.push(sub_buf, (row0 + w0 + l) * t + i);
+                    load.lane(sub_buf.addr((row0 + w0 + l) * t + i));
                 }
-                ctx.global_read(batch.addrs(), T::BYTES as u64);
+                load.end();
                 ctx.flops(lanes as u64);
                 for l in 0..lanes {
                     out[w0 + l] += y_sub[(row0 + w0 + l) * t + i];
                 }
             }
-            batch.clear();
-            for l in 0..lanes {
-                batch.push(y_buf, row0 + w0 + l);
-            }
-            ctx.global_write(batch.addrs(), T::BYTES as u64);
+            let mut store = ctx.store(T::BYTES as u64);
+            store.lanes(y_buf.addr(row0 + w0), lanes);
+            store.end();
         }
         out
     });

@@ -6,7 +6,7 @@
 use bro_gpu_sim::{BufferAddr, DeviceSim};
 use bro_matrix::{Scalar, SlicedEllMatrix, INVALID_INDEX};
 
-use crate::common::{assemble_rows, AddrBatch};
+use crate::common::{assemble_rows, LaneRun};
 
 /// Computes `y = A·x` for a Sliced-ELLPACK matrix on the simulated device.
 pub fn sliced_ell_spmv<T: Scalar>(sim: &mut DeviceSim, se: &SlicedEllMatrix<T>, x: &[T]) -> Vec<T> {
@@ -26,6 +26,7 @@ pub fn sliced_ell_spmv<T: Scalar>(sim: &mut DeviceSim, se: &SlicedEllMatrix<T>, 
     // Per-slice widths live in constant memory.
     sim.charge_constant(se.slices().len() as u64 * 4);
 
+    let elem = T::BYTES as u64;
     let warp = sim.profile().warp_size;
     sim.label_next_launch("sliced-ell/slices");
     let chunks = sim.launch(se.slices().len(), h, |b, ctx| {
@@ -33,44 +34,37 @@ pub fn sliced_ell_spmv<T: Scalar>(sim: &mut DeviceSim, se: &SlicedEllMatrix<T>, 
         let row0 = b * h;
         let height = slice.height;
         let mut y_local = vec![T::ZERO; height];
-        let mut batch = AddrBatch::new();
-        let mut val_batch = AddrBatch::new();
-        let mut x_batch = AddrBatch::new();
-        let mut active: Vec<(usize, u32)> = Vec::with_capacity(warp);
         for w0 in (0..height).step_by(warp) {
             let lanes = (height - w0).min(warp);
+            let y_warp = &mut y_local[w0..w0 + lanes];
             for j in 0..slice.width {
-                batch.clear();
-                for l in 0..lanes {
-                    batch.push(col_bufs[b], j * height + w0 + l);
-                }
-                ctx.global_read(batch.addrs(), 4);
+                let first = j * height + w0;
+                let mut load = ctx.load(4);
+                load.lanes(col_bufs[b].addr(first), lanes);
+                load.end();
                 ctx.int_ops(2 * lanes as u64);
 
-                val_batch.clear();
-                x_batch.clear();
-                active.clear();
-                for l in 0..lanes {
-                    let c = slice.col_idx[j * height + w0 + l];
+                let mut load = ctx.load(elem);
+                let mut run = LaneRun::new(val_bufs[b]);
+                let mut active = 0;
+                let lane_cols = &slice.col_idx[first..first + lanes];
+                for ((i, &c), y) in (first..).zip(lane_cols).zip(y_warp.iter_mut()) {
                     if c != INVALID_INDEX {
-                        val_batch.push(val_bufs[b], j * height + w0 + l);
-                        x_batch.push(x_buf, c as usize);
-                        active.push((l, c));
+                        run.lane(i);
+                        load.tex_lane(x_buf.addr(c as usize), elem);
+                        *y = slice.vals[i].mul_add(x[c as usize], *y);
+                        active += 1;
+                    } else {
+                        run.end(&mut load);
                     }
                 }
-                ctx.global_read(val_batch.addrs(), T::BYTES as u64);
-                ctx.tex_read(x_batch.addrs(), T::BYTES as u64);
-                ctx.flops(2 * active.len() as u64);
-                for &(l, c) in &active {
-                    let v = slice.vals[j * height + w0 + l];
-                    y_local[w0 + l] = v.mul_add(x[c as usize], y_local[w0 + l]);
-                }
+                run.end(&mut load);
+                load.end();
+                ctx.flops(2 * active);
             }
-            batch.clear();
-            for l in 0..lanes {
-                batch.push(y_buf, row0 + w0 + l);
-            }
-            ctx.global_write(batch.addrs(), T::BYTES as u64);
+            let mut store = ctx.store(elem);
+            store.lanes(y_buf.addr(row0 + w0), lanes);
+            store.end();
         }
         y_local
     });

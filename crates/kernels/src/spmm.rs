@@ -14,7 +14,7 @@ use bro_gpu_sim::{BufferAddr, DeviceSim};
 use bro_matrix::{EllMatrix, Scalar, INVALID_INDEX};
 
 use crate::bro_ell::{DECODE_OPS_HIT, DECODE_OPS_REFILL};
-use crate::common::AddrBatch;
+use crate::common::LaneRun;
 use crate::BLOCK_SIZE;
 
 fn check_block<T: Scalar>(cols: usize, xs: &[Vec<T>]) {
@@ -40,6 +40,7 @@ pub fn ell_spmm<T: Scalar>(sim: &mut DeviceSim, ell: &EllMatrix<T>, xs: &[Vec<T>
     let x_bufs: Vec<BufferAddr> = xs.iter().map(|x| sim.alloc(x.len().max(1), T::BYTES)).collect();
     let y_bufs: Vec<BufferAddr> = (0..kvecs).map(|_| sim.alloc(m, T::BYTES)).collect();
 
+    let elem = T::BYTES as u64;
     let warp = sim.profile().warp_size;
     let blocks = m.div_ceil(BLOCK_SIZE);
     sim.label_next_launch("ell-spmm/rows");
@@ -47,36 +48,34 @@ pub fn ell_spmm<T: Scalar>(sim: &mut DeviceSim, ell: &EllMatrix<T>, xs: &[Vec<T>
         let row0 = b * BLOCK_SIZE;
         let height = (m - row0).min(BLOCK_SIZE);
         let mut y_local = vec![vec![T::ZERO; height]; kvecs];
-        let mut batch = AddrBatch::new();
-        let mut val_batch = AddrBatch::new();
         let mut active: Vec<(usize, u32)> = Vec::with_capacity(warp);
         for w0 in (0..height).step_by(warp) {
             let lanes = (height - w0).min(warp);
             for j in 0..k {
-                batch.clear();
-                for l in 0..lanes {
-                    batch.push(col_buf, j * stride + row0 + w0 + l);
-                }
-                ctx.global_read(batch.addrs(), 4);
+                let first = j * stride + row0 + w0;
+                let mut load = ctx.load(4);
+                load.lanes(col_buf.addr(first), lanes);
+                load.end();
                 ctx.int_ops(2 * lanes as u64);
 
-                val_batch.clear();
+                let mut load = ctx.load(elem);
+                let mut run = LaneRun::new(val_buf);
                 active.clear();
                 for l in 0..lanes {
-                    let r = row0 + w0 + l;
-                    let c = ell.col_at(r, j);
+                    let c = ell.col_at(row0 + w0 + l, j);
                     if c != INVALID_INDEX {
-                        val_batch.push(val_buf, j * stride + r);
+                        run.lane(first + l);
                         active.push((l, c));
+                    } else {
+                        run.end(&mut load);
                     }
                 }
-                ctx.global_read(val_batch.addrs(), T::BYTES as u64);
+                run.end(&mut load);
+                load.end();
                 for (v, x_buf) in x_bufs.iter().enumerate() {
-                    batch.clear();
                     for &(_, c) in &active {
-                        batch.push(*x_buf, c as usize);
+                        ctx.tex_lane(x_buf.addr(c as usize), elem);
                     }
-                    ctx.tex_read(batch.addrs(), T::BYTES as u64);
                     ctx.flops(2 * active.len() as u64);
                     for &(l, c) in &active {
                         let r = row0 + w0 + l;
@@ -86,11 +85,9 @@ pub fn ell_spmm<T: Scalar>(sim: &mut DeviceSim, ell: &EllMatrix<T>, xs: &[Vec<T>
                 }
             }
             for y_buf in &y_bufs {
-                batch.clear();
-                for l in 0..lanes {
-                    batch.push(*y_buf, row0 + w0 + l);
-                }
-                ctx.global_write(batch.addrs(), T::BYTES as u64);
+                let mut store = ctx.store(elem);
+                store.lanes(y_buf.addr(row0 + w0), lanes);
+                store.end();
             }
         }
         y_local
@@ -133,6 +130,7 @@ pub fn bro_ell_spmm<T: Scalar, W: Symbol>(
     let y_bufs: Vec<BufferAddr> = (0..kvecs).map(|_| sim.alloc(m, T::BYTES)).collect();
     sim.charge_constant(bro.metadata_bytes() as u64);
 
+    let elem = T::BYTES as u64;
     let warp = sim.profile().warp_size;
     sim.label_next_launch("bro-ell-spmm/slices");
     let chunks: Vec<Vec<Vec<T>>> = sim.launch(bro.slices().len(), h, |b, ctx| {
@@ -140,8 +138,6 @@ pub fn bro_ell_spmm<T: Scalar, W: Symbol>(
         let row0 = b * h;
         let height = slice.height;
         let mut y_local = vec![vec![T::ZERO; height]; kvecs];
-        let mut batch = AddrBatch::new();
-        let mut val_batch = AddrBatch::new();
         let mut active: Vec<usize> = Vec::with_capacity(warp);
         let mut dec = WarpDecoder::<W>::new();
         let mut cols: Vec<i64> = Vec::with_capacity(warp);
@@ -153,31 +149,31 @@ pub fn bro_ell_spmm<T: Scalar, W: Symbol>(
             for c in 0..slice.num_cols {
                 let bits = slice.bit_alloc[c] as u32;
                 if let Some(sym) = dec.decode(&slice.stream, height, w0, bits) {
-                    batch.clear();
-                    for l in 0..lanes {
-                        batch.push(stream_bufs[b], sym * height + (w0 + l));
-                    }
-                    ctx.global_read(batch.addrs(), W::BITS as u64 / 8);
+                    let mut load = ctx.load(W::BITS as u64 / 8);
+                    load.lanes(stream_bufs[b].addr(sym * height + w0), lanes);
+                    load.end();
                     ctx.int_ops((DECODE_OPS_HIT + DECODE_OPS_REFILL) * lanes as u64);
                 } else {
                     ctx.int_ops(DECODE_OPS_HIT * lanes as u64);
                 }
-                val_batch.clear();
+                let mut load = ctx.load(elem);
+                let mut run = LaneRun::new(val_bufs[b]);
                 active.clear();
                 for (l, &d) in dec.deltas().iter().enumerate() {
                     if d != 0 {
                         cols[l] += d as i64;
-                        val_batch.push(val_bufs[b], c * height + (w0 + l));
+                        run.lane(c * height + w0 + l);
                         active.push(l);
+                    } else {
+                        run.end(&mut load);
                     }
                 }
-                ctx.global_read(val_batch.addrs(), T::BYTES as u64);
+                run.end(&mut load);
+                load.end();
                 for (v, x_buf) in x_bufs.iter().enumerate() {
-                    batch.clear();
                     for &l in &active {
-                        batch.push(*x_buf, cols[l] as usize);
+                        ctx.tex_lane(x_buf.addr(cols[l] as usize), elem);
                     }
-                    ctx.tex_read(batch.addrs(), T::BYTES as u64);
                     ctx.flops(2 * active.len() as u64);
                     for &l in &active {
                         let val = slice.vals[c * height + (w0 + l)];
@@ -187,11 +183,9 @@ pub fn bro_ell_spmm<T: Scalar, W: Symbol>(
                 }
             }
             for y_buf in &y_bufs {
-                batch.clear();
-                for l in 0..lanes {
-                    batch.push(*y_buf, row0 + w0 + l);
-                }
-                ctx.global_write(batch.addrs(), T::BYTES as u64);
+                let mut store = ctx.store(elem);
+                store.lanes(y_buf.addr(row0 + w0), lanes);
+                store.end();
             }
         }
         y_local

@@ -18,7 +18,7 @@ use bro_core::vlq_ell::VlqEll;
 use bro_gpu_sim::DeviceSim;
 use bro_matrix::Scalar;
 
-use crate::common::{assemble_rows, AddrBatch};
+use crate::common::assemble_rows;
 use crate::BLOCK_SIZE;
 
 /// Integer ops per decoded byte per lane (load-extract-shift-or-test).
@@ -57,7 +57,6 @@ pub fn vlq_ell_spmv<T: Scalar>(sim: &mut DeviceSim, vlq: &VlqEll<T>, x: &[T]) ->
         let row0 = b * BLOCK_SIZE;
         let height = (m - row0).min(BLOCK_SIZE);
         let mut y_local = vec![T::ZERO; height];
-        let mut batch = AddrBatch::new();
         let (mut pos, mut vpos) = (Vec::with_capacity(warp), Vec::with_capacity(warp));
         let mut cols: Vec<i64> = Vec::with_capacity(warp);
         let mut active: Vec<usize> = Vec::with_capacity(warp);
@@ -66,16 +65,11 @@ pub fn vlq_ell_spmv<T: Scalar>(sim: &mut DeviceSim, vlq: &VlqEll<T>, x: &[T]) ->
         for w0 in (0..height).step_by(warp) {
             let lanes = (height - w0).min(warp);
             // Row offsets and lengths (these at least coalesce).
-            batch.clear();
-            for l in 0..lanes {
-                batch.push(off_buf, row0 + w0 + l);
+            for (buf, bytes) in [(off_buf, 8), (len_buf, 4)] {
+                let mut load = ctx.load(bytes);
+                load.lanes(buf.addr(row0 + w0), lanes);
+                load.end();
             }
-            ctx.global_read(batch.addrs(), 8);
-            batch.clear();
-            for l in 0..lanes {
-                batch.push(len_buf, row0 + w0 + l);
-            }
-            ctx.global_read(batch.addrs(), 4);
 
             // Per-lane stream cursors and value positions.
             pos.clear();
@@ -99,11 +93,11 @@ pub fn vlq_ell_spmv<T: Scalar>(sim: &mut DeviceSim, vlq: &VlqEll<T>, x: &[T]) ->
                 pending.clone_from(&active);
                 while !pending.is_empty() {
                     byte_iters += 1;
-                    batch.clear();
+                    let mut load = ctx.load(1);
                     for &l in &pending {
-                        batch.push(stream_buf, pos[l]);
+                        load.lane(stream_buf.addr(pos[l]));
                     }
-                    ctx.global_read(batch.addrs(), 1);
+                    load.end();
                     // Byte-at-a-time LEB128 accumulation per still-pending
                     // lane; lanes whose varint ends drop out of the warp's
                     // active mask (the divergence being modeled).
@@ -119,29 +113,21 @@ pub fn vlq_ell_spmv<T: Scalar>(sim: &mut DeviceSim, vlq: &VlqEll<T>, x: &[T]) ->
                 ctx.int_ops(VLQ_BYTE_OPS * byte_iters * lanes as u64);
 
                 // Multiply-add for the active lanes; values scatter.
-                batch.clear();
+                let mut load = ctx.load(T::BYTES as u64);
                 for &l in &active {
-                    batch.push(val_buf, vpos[l]);
-                }
-                ctx.global_read(batch.addrs(), T::BYTES as u64);
-                batch.clear();
-                for &l in &active {
+                    load.lane(val_buf.addr(vpos[l]));
                     cols[l] += decoded[l] as i64;
-                    batch.push(x_buf, cols[l] as usize);
-                }
-                ctx.tex_read(batch.addrs(), T::BYTES as u64);
-                ctx.flops(2 * active.len() as u64);
-                for &l in &active {
+                    load.tex_lane(x_buf.addr(cols[l] as usize), T::BYTES as u64);
                     let v = vlq.values()[vpos[l]];
                     y_local[w0 + l] = v.mul_add(x[cols[l] as usize], y_local[w0 + l]);
                     vpos[l] += 1;
                 }
+                load.end();
+                ctx.flops(2 * active.len() as u64);
             }
-            batch.clear();
-            for l in 0..lanes {
-                batch.push(y_buf, row0 + w0 + l);
-            }
-            ctx.global_write(batch.addrs(), T::BYTES as u64);
+            let mut store = ctx.store(T::BYTES as u64);
+            store.lanes(y_buf.addr(row0 + w0), lanes);
+            store.end();
         }
         y_local
     });

@@ -201,25 +201,28 @@ impl<T: Scalar> CooMatrix<T> {
         let mut row_idx = Vec::with_capacity(self.nnz() + self.rows);
         let mut col_idx = Vec::with_capacity(self.nnz() + self.rows);
         let mut vals = Vec::with_capacity(self.nnz() + self.rows);
+        let mut push = |r: u32, c: u32, v: T| {
+            row_idx.push(r);
+            col_idx.push(c);
+            vals.push(v);
+        };
+        // One pass: each row's entries left of the diagonal, the diagonal
+        // (shifted, or created), then the entries right of it.
+        let mut k = 0;
         for r in 0..self.rows as u32 {
-            let (cols, values) = self.row(r);
-            let mut placed = false;
-            for (&c, &v) in cols.iter().zip(values) {
-                row_idx.push(r);
-                col_idx.push(c);
-                vals.push(if c == r {
-                    placed = true;
-                    v + shift
-                } else {
-                    v
-                });
+            while k < self.nnz() && self.row_idx[k] == r && self.col_idx[k] < r {
+                push(r, self.col_idx[k], self.vals[k]);
+                k += 1;
             }
-            if !placed {
-                // Insert the new diagonal entry in sorted position.
-                let at = row_idx.len() - cols.iter().filter(|&&c| c > r).count();
-                row_idx.insert(at, r);
-                col_idx.insert(at, r);
-                vals.insert(at, shift);
+            if k < self.nnz() && self.row_idx[k] == r && self.col_idx[k] == r {
+                push(r, r, self.vals[k] + shift);
+                k += 1;
+            } else {
+                push(r, r, shift);
+            }
+            while k < self.nnz() && self.row_idx[k] == r {
+                push(r, self.col_idx[k], self.vals[k]);
+                k += 1;
             }
         }
         CooMatrix::from_sorted_parts(self.rows, self.cols, row_idx, col_idx, vals)
@@ -228,20 +231,52 @@ impl<T: Scalar> CooMatrix<T> {
     /// Returns the symmetric part `(A + Aᵀ)/2` (square matrices only).
     /// Together with [`CooMatrix::add_diagonal`] this turns any sparsity
     /// pattern into an SPD test system for CG.
+    ///
+    /// Entry `(i, j)` is `0 + A[i, j]/2 + A[j, i]/2`, skipping an absent
+    /// term; starting from zero turns a lone `-0.0` into `+0.0`. A sum of
+    /// two terms does not depend on their order, so the result is exactly
+    /// symmetric.
     pub fn symmetrized(&self) -> CooMatrix<T> {
         assert_eq!(self.rows, self.cols, "symmetrized needs a square matrix");
         let half = T::from_f64(0.5);
-        let mut map: std::collections::BTreeMap<(u32, u32), T> = std::collections::BTreeMap::new();
-        for (r, c, v) in self.iter() {
-            *map.entry((r, c)).or_insert(T::ZERO) += v * half;
-            *map.entry((c, r)).or_insert(T::ZERO) += v * half;
+        let n = self.nnz();
+        // The entries in the row-major order of Aᵀ: a counting sort by
+        // column keeps each column's rows ascending.
+        let mut next = vec![0usize; self.cols + 1];
+        for &c in &self.col_idx {
+            next[c as usize + 1] += 1;
         }
-        let mut row_idx = Vec::with_capacity(map.len());
-        let mut col_idx = Vec::with_capacity(map.len());
-        let mut vals = Vec::with_capacity(map.len());
-        for ((r, c), v) in map {
-            row_idx.push(r);
-            col_idx.push(c);
+        for c in 0..self.cols {
+            next[c + 1] += next[c];
+        }
+        let mut by_col = vec![0usize; n];
+        for (k, &c) in self.col_idx.iter().enumerate() {
+            by_col[next[c as usize]] = k;
+            next[c as usize] += 1;
+        }
+        // Merge the row-major entries of A and Aᵀ.
+        let mut row_idx = Vec::with_capacity(2 * n);
+        let mut col_idx = Vec::with_capacity(2 * n);
+        let mut vals = Vec::with_capacity(2 * n);
+        let (mut a, mut b) = (0, 0);
+        while a < n || b < n {
+            let in_a = (a < n).then(|| (self.row_idx[a], self.col_idx[a]));
+            let in_t = (b < n).then(|| (self.col_idx[by_col[b]], self.row_idx[by_col[b]]));
+            let (i, j) = match (in_a, in_t) {
+                (Some(x), Some(y)) => x.min(y),
+                (x, y) => x.or(y).expect("an entry is left"),
+            };
+            let mut v = T::ZERO;
+            if in_a == Some((i, j)) {
+                v += self.vals[a] * half;
+                a += 1;
+            }
+            if in_t == Some((i, j)) {
+                v += self.vals[by_col[b]] * half;
+                b += 1;
+            }
+            row_idx.push(i);
+            col_idx.push(j);
             vals.push(v);
         }
         CooMatrix::from_sorted_parts(self.rows, self.cols, row_idx, col_idx, vals)
@@ -283,6 +318,61 @@ impl<T: Scalar> CooMatrix<T> {
         let start = self.row_idx.partition_point(|&r| r < row);
         let end = self.row_idx.partition_point(|&r| r <= row);
         (&self.col_idx[start..end], &self.vals[start..end])
+    }
+}
+
+/// Test-only oracles: `add_diagonal` and `symmetrized` as first written.
+#[cfg(test)]
+impl<T: Scalar> CooMatrix<T> {
+    /// `add_diagonal` as first written: a `Vec::insert` per created
+    /// diagonal entry.
+    fn add_diagonal_oracle(&self, shift: T) -> CooMatrix<T> {
+        assert_eq!(self.rows, self.cols, "add_diagonal needs a square matrix");
+        let mut row_idx = Vec::with_capacity(self.nnz() + self.rows);
+        let mut col_idx = Vec::with_capacity(self.nnz() + self.rows);
+        let mut vals = Vec::with_capacity(self.nnz() + self.rows);
+        for r in 0..self.rows as u32 {
+            let (cols, values) = self.row(r);
+            let mut placed = false;
+            for (&c, &v) in cols.iter().zip(values) {
+                row_idx.push(r);
+                col_idx.push(c);
+                vals.push(if c == r {
+                    placed = true;
+                    v + shift
+                } else {
+                    v
+                });
+            }
+            if !placed {
+                // Insert the new diagonal entry in sorted position.
+                let at = row_idx.len() - cols.iter().filter(|&&c| c > r).count();
+                row_idx.insert(at, r);
+                col_idx.insert(at, r);
+                vals.insert(at, shift);
+            }
+        }
+        CooMatrix::from_sorted_parts(self.rows, self.cols, row_idx, col_idx, vals)
+    }
+
+    /// `symmetrized` as first written: a `BTreeMap` over both triangles.
+    fn symmetrized_oracle(&self) -> CooMatrix<T> {
+        assert_eq!(self.rows, self.cols, "symmetrized needs a square matrix");
+        let half = T::from_f64(0.5);
+        let mut map: std::collections::BTreeMap<(u32, u32), T> = std::collections::BTreeMap::new();
+        for (r, c, v) in self.iter() {
+            *map.entry((r, c)).or_insert(T::ZERO) += v * half;
+            *map.entry((c, r)).or_insert(T::ZERO) += v * half;
+        }
+        let mut row_idx = Vec::with_capacity(map.len());
+        let mut col_idx = Vec::with_capacity(map.len());
+        let mut vals = Vec::with_capacity(map.len());
+        for ((r, c), v) in map {
+            row_idx.push(r);
+            col_idx.push(c);
+            vals.push(v);
+        }
+        CooMatrix::from_sorted_parts(self.rows, self.cols, row_idx, col_idx, vals)
     }
 }
 
@@ -475,6 +565,65 @@ mod tests {
         let (cols0, vals0) = s.row(0);
         assert_eq!(cols0, &[0, 1, 2]);
         assert_eq!(vals0, &[1.0, 1.0, 3.0]);
+    }
+
+    /// A seeded square matrix of `n` rows with entry density `density`;
+    /// values include ±0.0, ±1, and values whose halves round.
+    fn seeded_square(n: usize, density: f64, seed: u64) -> CooMatrix<f64> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let (mut ri, mut ci, mut vals) = (Vec::new(), Vec::new(), Vec::new());
+        for r in 0..n {
+            for c in 0..n {
+                if rng.gen_bool(density) {
+                    ri.push(r);
+                    ci.push(c);
+                    vals.push(match rng.gen_range(0..6) {
+                        0 => -0.0,
+                        1 => 0.0,
+                        2 => -1.0,
+                        3 => f64::MIN_POSITIVE,
+                        _ => rng.gen_range(-1e3..1e3),
+                    });
+                }
+            }
+        }
+        CooMatrix::from_triplets(n, n, &ri, &ci, &vals).unwrap()
+    }
+
+    fn bits(a: &CooMatrix<f64>) -> (Vec<u32>, Vec<u32>, Vec<u64>) {
+        let vals = a.values().iter().map(|v| v.to_bits()).collect();
+        (a.row_indices().to_vec(), a.col_indices().to_vec(), vals)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn symmetrized_and_add_diagonal_match_their_oracles(
+            n in 0usize..40,
+            density in 0.0f64..0.6,
+            shift in -2.0f64..2.0,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let a = seeded_square(n, density, seed);
+            proptest::prop_assert_eq!(bits(&a.symmetrized()), bits(&a.symmetrized_oracle()));
+            proptest::prop_assert_eq!(bits(&a.add_diagonal(shift)), bits(&a.add_diagonal_oracle(shift)));
+            // A shift of -0.0 keeps the sign of created diagonal entries.
+            proptest::prop_assert_eq!(bits(&a.add_diagonal(-0.0)), bits(&a.add_diagonal_oracle(-0.0)));
+            let s = a.symmetrized();
+            proptest::prop_assert_eq!(bits(&s.add_diagonal(shift)), bits(&s.add_diagonal_oracle(shift)));
+        }
+    }
+
+    #[test]
+    fn symmetrized_turns_negative_zero_into_positive_zero() {
+        let a: CooMatrix<f64> =
+            CooMatrix::from_triplets(2, 2, &[0, 1], &[1, 1], &[-0.0, -0.0]).unwrap();
+        let s = a.symmetrized();
+        assert_eq!(s.col_indices(), &[1, 0, 1]);
+        assert!(s.values().iter().all(|v| v.to_bits() == 0), "{:?}", s.values());
+        assert_eq!(bits(&s), bits(&a.symmetrized_oracle()));
     }
 
     #[test]

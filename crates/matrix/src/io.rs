@@ -28,14 +28,26 @@ fn invalid_utf8() -> MatrixError {
 
 /// Lines of a stream, as `BufRead::lines` splits them, without a copy or an
 /// allocation per line. The stream is read a block at a time; the block's
-/// complete lines are checked as UTF-8 in one call and moved to `text`, from
-/// which lines are borrowed. Neither buffer ever holds the whole stream,
-/// only a block and the line it ends inside.
+/// complete lines are checked as UTF-8 in one call and lines are borrowed
+/// from them. The block's buffer moves between the read and `text` without
+/// a copy; only the line a block ends inside is carried over. Neither
+/// buffer ever holds the whole stream.
+///
+/// Each line comes with whether its block is all ASCII, as every generated
+/// file is. The reader parses such a line on a byte-level fast path
+/// ([`ascii_entry`]); any other line, and an ASCII line of another shape,
+/// takes the `&str` path (`str::trim`, `split_whitespace`, `from_str`),
+/// so Unicode whitespace and invalid UTF-8 are read exactly as before,
+/// with the same line numbers and messages. Checking whole blocks keeps
+/// the check off the per-line path: safe Rust cannot make a `&str` of a
+/// byte field without checking it again.
 struct Lines<R> {
     reader: R,
     /// Complete lines not yet handed out start at `pos`.
     text: String,
     pos: usize,
+    /// Whether `text` is all ASCII.
+    ascii: bool,
     /// Bytes read after the last complete line: the start of a line.
     raw: Vec<u8>,
     eof: bool,
@@ -51,6 +63,7 @@ impl<R: Read> Lines<R> {
             reader,
             text: String::new(),
             pos: 0,
+            ascii: true,
             raw: Vec::new(),
             eof: false,
             bad: false,
@@ -59,16 +72,17 @@ impl<R: Read> Lines<R> {
     }
 
     /// The next line and its number, without the trailing `\n` or `\r\n`,
-    /// or `None` at the end of the stream. A line that is not UTF-8 is an
-    /// error, as for `BufRead::lines`, once the lines before it are out.
-    fn next(&mut self) -> Result<Option<(usize, &str)>, MatrixError> {
+    /// and whether the line is known to be ASCII (its block is), or `None`
+    /// at the end of the stream. A line that is not UTF-8 is an error, as
+    /// for `BufRead::lines`, once the lines before it are out.
+    fn next(&mut self) -> Result<Option<(usize, &str, bool)>, MatrixError> {
         while self.pos == self.text.len() {
             if !self.refill()? {
                 return Ok(None);
             }
         }
         let rest = &self.text[self.pos..];
-        let line = match rest.find('\n') {
+        let line = match find_newline(rest.as_bytes()) {
             Some(i) => {
                 self.pos += i + 1;
                 rest[..i].strip_suffix('\r').unwrap_or(&rest[..i])
@@ -79,7 +93,7 @@ impl<R: Read> Lines<R> {
             }
         };
         self.line_no += 1;
-        Ok(Some((self.line_no, line)))
+        Ok(Some((self.line_no, line, self.ascii)))
     }
 
     /// Replaces `text` with the next complete lines; `false` at the end.
@@ -87,35 +101,178 @@ impl<R: Read> Lines<R> {
         if self.bad {
             return Err(invalid_utf8());
         }
-        self.text.clear();
+        let mut block = std::mem::take(&mut self.text).into_bytes();
+        block.clear();
+        block.append(&mut self.raw);
         self.pos = 0;
         let complete = loop {
             if self.eof {
-                break self.raw.len();
+                break block.len();
             }
-            let filled = self.raw.len();
-            self.eof = (&mut self.reader).take(BLOCK).read_to_end(&mut self.raw)? == 0;
-            if let Some(i) = self.raw[filled..].iter().rposition(|&b| b == b'\n') {
+            let filled = block.len();
+            self.eof = (&mut self.reader).take(BLOCK).read_to_end(&mut block)? == 0;
+            if let Some(i) = block[filled..].iter().rposition(|&b| b == b'\n') {
                 break filled + i + 1;
             }
         };
         if complete == 0 {
             return Ok(false);
         }
-        let text = match std::str::from_utf8(&self.raw[..complete]) {
-            Ok(text) => text,
-            Err(e) => {
-                self.bad = true;
-                let good = self.raw[..e.valid_up_to()]
-                    .iter()
-                    .rposition(|&b| b == b'\n')
-                    .map_or(0, |i| i + 1);
-                std::str::from_utf8(&self.raw[..good]).unwrap_or_default()
-            }
-        };
-        self.text.push_str(text);
-        self.raw.drain(..complete);
+        self.raw.extend_from_slice(&block[complete..]);
+        block.truncate(complete);
+        self.text = String::from_utf8(block).unwrap_or_else(|e| {
+            self.bad = true;
+            let valid = e.utf8_error().valid_up_to();
+            let mut block = e.into_bytes();
+            let good = block[..valid].iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+            block.truncate(good);
+            String::from_utf8(block).unwrap_or_default()
+        });
+        self.ascii = self.text.is_ascii();
         Ok(true)
+    }
+}
+
+/// Index of the first `\n` of `s`, eight bytes at a time. After an XOR
+/// with `\n`, the carry trick of "does a word have a zero byte" marks the
+/// newlines of a word; its lowest mark is always exact.
+#[inline]
+fn find_newline(s: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const NEWLINES: u64 = ONES * b'\n' as u64;
+    let mut at = 0;
+    while at + 8 <= s.len() {
+        let x = u64::from_le_bytes(s[at..at + 8].try_into().expect("eight bytes")) ^ NEWLINES;
+        let marked = x.wrapping_sub(ONES) & !x & (ONES << 7);
+        if marked != 0 {
+            return Some(at + (marked.trailing_zeros() / 8) as usize);
+        }
+        at += 8;
+    }
+    s[at..].iter().position(|&b| b == b'\n').map(|i| at + i)
+}
+
+/// The six ASCII bytes with the Unicode `White_Space` property, on which
+/// `str::trim` and `str::split_whitespace` cut ASCII text. Unlike
+/// `u8::is_ascii_whitespace` this includes the vertical tab `\x0B`.
+#[inline]
+fn is_space(b: u8) -> bool {
+    matches!(b, b'\t' | b'\n' | b'\x0B' | b'\x0C' | b'\r' | b' ')
+}
+
+/// The first position from `at` on that is not whitespace.
+#[inline]
+fn skip_space(b: &[u8], mut at: usize) -> usize {
+    while at < b.len() && is_space(b[at]) {
+        at += 1;
+    }
+    at
+}
+
+/// An index of 1 to 19 digits at `at`, ended by whitespace or the end of
+/// `b`, and the position after it; `None` for anything else.
+#[inline]
+fn index_at(b: &[u8], at: usize) -> Option<(usize, usize)> {
+    let (mut n, mut end) = (0u64, at);
+    while end < b.len() && end - at < 19 {
+        let d = b[end].wrapping_sub(b'0');
+        if d > 9 {
+            break;
+        }
+        n = n * 10 + d as u64;
+        end += 1;
+    }
+    let ended = b.get(end).is_none_or(|&x| is_space(x));
+    (end > at && ended).then_some((usize::try_from(n).ok()?, end))
+}
+
+/// The common shape of an ASCII data line, read in one pass: two indices
+/// of 1 to 19 digits, then the rest of the line from the value field on,
+/// if there is one, without trailing whitespace; fields are separated by
+/// the six ASCII `White_Space` bytes. Any other line gives `None` and takes
+/// the `&str` path, which splits a line of this shape into the same fields
+/// and parses them to the same indices.
+#[inline]
+fn ascii_entry(line: &str) -> Option<(usize, usize, Option<&str>)> {
+    let b = line.as_bytes();
+    let (r, at) = index_at(b, skip_space(b, 0))?;
+    let (c, at) = index_at(b, skip_space(b, at))?;
+    let start = skip_space(b, at);
+    let mut end = b.len();
+    while end > start && is_space(b[end - 1]) {
+        end -= 1;
+    }
+    Some((r, c, (start < end).then(|| &line[start..end])))
+}
+
+/// The entries of a stream, kept as `CooMatrix` keeps them, with `u32`
+/// indices. What `CooMatrix::from_triplets` checks, indices inside the
+/// shape and strictly row-major order, is tracked as entries arrive; its
+/// errors are reported as it reports them, after the parse.
+struct Entries<T> {
+    rows: usize,
+    cols: usize,
+    ri: Vec<u32>,
+    ci: Vec<u32>,
+    vals: Vec<T>,
+    /// The first entry outside the shape.
+    outside: Option<(usize, usize)>,
+    /// Whether the entries so far are strictly row-major.
+    sorted: bool,
+    /// Every index as read, once one needs more than 32 bits; then
+    /// `from_triplets` gets them all.
+    wide: Option<(Vec<usize>, Vec<usize>)>,
+}
+
+fn widen(indices: &[u32]) -> Vec<usize> {
+    indices.iter().map(|&i| i as usize).collect()
+}
+
+impl<T: Scalar> Entries<T> {
+    fn new(rows: usize, cols: usize, cap: usize) -> Self {
+        Entries {
+            rows,
+            cols,
+            ri: Vec::with_capacity(cap),
+            ci: Vec::with_capacity(cap),
+            vals: Vec::with_capacity(cap),
+            outside: None,
+            sorted: true,
+            wide: None,
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, r: usize, c: usize, v: T) {
+        self.vals.push(v);
+        if let Some((wr, wc)) = &mut self.wide {
+            wr.push(r);
+            wc.push(c);
+        } else if let (Ok(r32), Ok(c32)) = (u32::try_from(r), u32::try_from(c)) {
+            if self.outside.is_none() && (r >= self.rows || c >= self.cols) {
+                self.outside = Some((r, c));
+            }
+            let last = self.ri.last().zip(self.ci.last());
+            self.sorted &= last.is_none_or(|(&pr, &pc)| (pr, pc) < (r32, c32));
+            self.ri.push(r32);
+            self.ci.push(c32);
+        } else {
+            let (mut wr, mut wc) = (widen(&self.ri), widen(&self.ci));
+            wr.push(r);
+            wc.push(c);
+            self.wide = Some((wr, wc));
+        }
+    }
+
+    /// The matrix, as `from_triplets` builds it from the entries.
+    fn finish(self) -> Result<CooMatrix<T>, MatrixError> {
+        let Entries { rows, cols, ri, ci, vals, outside, sorted, wide } = self;
+        match (wide, outside) {
+            (Some((wr, wc)), _) => CooMatrix::from_triplets(rows, cols, &wr, &wc, &vals),
+            (None, Some((row, col))) => Err(MatrixError::IndexOutOfBounds { row, col, rows, cols }),
+            (None, None) if sorted => Ok(CooMatrix::from_sorted_parts(rows, cols, ri, ci, vals)),
+            (None, None) => CooMatrix::from_triplets(rows, cols, &widen(&ri), &widen(&ci), &vals),
+        }
     }
 }
 
@@ -130,7 +287,7 @@ pub fn read_matrix_market<T: Scalar, R: Read>(reader: R) -> Result<CooMatrix<T>,
     // Header line.
     let (line_no, header) = loop {
         match lines.next()? {
-            Some((i, line)) if !line.trim().is_empty() => break (i, line),
+            Some((i, line, _)) if !line.trim().is_empty() => break (i, line),
             Some(_) => {}
             None => return Err(MatrixError::Parse { line: 1, message: "empty file".into() }),
         }
@@ -168,7 +325,7 @@ pub fn read_matrix_market<T: Scalar, R: Read>(reader: R) -> Result<CooMatrix<T>,
     // Size line (skipping comments).
     let (size_line_no, size_line) = loop {
         match lines.next()? {
-            Some((i, line)) => {
+            Some((i, line, _)) => {
                 let t = line.trim();
                 if !t.is_empty() && !t.starts_with('%') {
                     break (i, line);
@@ -199,31 +356,41 @@ pub fn read_matrix_market<T: Scalar, R: Read>(reader: R) -> Result<CooMatrix<T>,
     }
     let (rows, cols, nnz) = (dims[0], dims[1], dims[2]);
 
-    let cap = nnz.min(PREALLOC_CAP);
-    let mut ri = Vec::with_capacity(cap);
-    let mut ci = Vec::with_capacity(cap);
-    let mut vals: Vec<T> = Vec::with_capacity(cap);
+    let mut entries = Entries::new(rows, cols, nnz.min(PREALLOC_CAP));
     let mut seen = 0usize;
-    while let Some((i, line)) = lines.next()? {
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('%') {
-            continue;
-        }
-        if seen == nnz {
-            return Err(MatrixError::Parse {
-                line: i,
-                message: format!("expected {nnz} entries, found more"),
-            });
-        }
-        let mut it = t.split_whitespace();
-        let parse_idx = |tok: Option<&str>| -> Result<usize, MatrixError> {
-            let tok =
-                tok.ok_or_else(|| MatrixError::Parse { line: i, message: "missing index".into() })?;
-            tok.parse::<usize>()
-                .map_err(|_| MatrixError::Parse { line: i, message: format!("bad index '{tok}'") })
+    let found_more =
+        |line| MatrixError::Parse { line, message: format!("expected {nnz} entries, found more") };
+    while let Some((i, line, ascii)) = lines.next()? {
+        let entry = if ascii { ascii_entry(line) } else { None };
+        let (r, c, value) = match entry {
+            Some(entry) => {
+                if seen == nnz {
+                    return Err(found_more(i));
+                }
+                entry
+            }
+            None => {
+                let t = line.trim();
+                if t.is_empty() || t.starts_with('%') {
+                    continue;
+                }
+                if seen == nnz {
+                    return Err(found_more(i));
+                }
+                let mut it = t.split_whitespace();
+                let mut parse_idx = || -> Result<usize, MatrixError> {
+                    let tok = it.next().ok_or_else(|| MatrixError::Parse {
+                        line: i,
+                        message: "missing index".into(),
+                    })?;
+                    tok.parse::<usize>().map_err(|_| MatrixError::Parse {
+                        line: i,
+                        message: format!("bad index '{tok}'"),
+                    })
+                };
+                (parse_idx()?, parse_idx()?, it.next())
+            }
         };
-        let r = parse_idx(it.next())?;
-        let c = parse_idx(it.next())?;
         if r == 0 || c == 0 {
             return Err(MatrixError::Parse {
                 line: i,
@@ -233,21 +400,23 @@ pub fn read_matrix_market<T: Scalar, R: Read>(reader: R) -> Result<CooMatrix<T>,
         let v = if pattern {
             T::ONE
         } else {
-            let tok = it
-                .next()
+            let rest = value
                 .ok_or_else(|| MatrixError::Parse { line: i, message: "missing value".into() })?;
-            T::from_f64(tok.parse::<f64>().map_err(|_| MatrixError::Parse {
-                line: i,
-                message: format!("bad value '{tok}'"),
-            })?)
+            // `rest` starts with the value field, and parses as a number
+            // only if it is that field alone (a number holds no space).
+            let v = rest.parse::<f64>().or_else(|_| {
+                let end = rest.bytes().position(is_space).unwrap_or(rest.len());
+                let tok = &rest[..end];
+                tok.parse::<f64>().map_err(|_| MatrixError::Parse {
+                    line: i,
+                    message: format!("bad value '{tok}'"),
+                })
+            })?;
+            T::from_f64(v)
         };
-        ri.push(r - 1);
-        ci.push(c - 1);
-        vals.push(v);
+        entries.push(r - 1, c - 1, v);
         if symmetric && r != c {
-            ri.push(c - 1);
-            ci.push(r - 1);
-            vals.push(v);
+            entries.push(c - 1, r - 1, v);
         }
         seen += 1;
     }
@@ -257,7 +426,7 @@ pub fn read_matrix_market<T: Scalar, R: Read>(reader: R) -> Result<CooMatrix<T>,
             message: format!("expected {nnz} entries, found {seen}"),
         });
     }
-    CooMatrix::from_triplets(rows, cols, &ri, &ci, &vals)
+    entries.finish()
 }
 
 /// Reads a MatrixMarket file from disk.
@@ -461,7 +630,10 @@ mod tests {
             }
             3 if !spaces.is_empty() => bytes[spaces[rng.gen_range(0..spaces.len())]] = b'\t',
             4 if !spaces.is_empty() => {
-                bytes.insert(spaces[rng.gen_range(0..spaces.len())] + 1, b'+')
+                // A sign, or zeros that make the next field 20 digits or more.
+                let i = spaces[rng.gen_range(0..spaces.len())] + 1;
+                let prefix: &[u8] = [&b"+"[..], b"0000000000000000000"][rng.gen_range(0..2usize)];
+                bytes.splice(i..i, prefix.iter().copied());
             }
             5 if !newlines.is_empty() => {
                 let i = newlines[rng.gen_range(0..newlines.len())] + 1;
@@ -470,8 +642,8 @@ mod tests {
             6 => bytes.insert(at(rng, bytes.len()), [0xFF, 0xC3, 0x80][rng.gen_range(0..3usize)]),
             7 if !spaces.is_empty() => {
                 let i = spaces[rng.gen_range(0..spaces.len())];
-                let space =
-                    ["\u{a0}", "\u{85}", "\u{2003}", "\x0b", "\x0c"][rng.gen_range(0..5usize)];
+                let space = ["\u{a0}", "\u{85}", "\u{2003}", "\u{3000}", "\x0b", "\x0c"]
+                    [rng.gen_range(0..6usize)];
                 bytes.splice(i..=i, space.bytes());
             }
             8 if newlines.len() > 1 => {
@@ -533,6 +705,119 @@ mod tests {
         // Files of 100-400 KB: lines straddle the reader's block boundaries.
         let (ok, err) = compare_with_oracle(0..40, 100..180);
         assert!(ok > 5 && err > 5, "ok {ok} err {err}");
+    }
+
+    #[test]
+    fn boundary_lines_read_as_the_oracle_reads_them() {
+        let head = "%%MatrixMarket matrix coordinate real general\n3 3 2\n";
+        let bodies: [&[u8]; 14] = [
+            b"1\x0B1 1.5\n2\x0C2\x0B2.5\x0C\n",
+            b"1 1 1.5\n\x0B\x0C\n2 2 2.5\n",
+            "1\u{a0}1 1.5\n2 2\u{a0}2.5\n".as_bytes(),
+            "1\u{3000}1 1.5\n\u{3000}2 2 2.5\u{3000}\n".as_bytes(),
+            b"1 1 1.5\r\n2 2 2.5\r\n",
+            b"+1 1 1.5\n2 +2 2.5\n",
+            b"1 1 1.5\n2 -2 2.5\n",
+            b"1 1 1.5\n00000000000000000002 2 2.5\n",
+            b"1 1 1.5\n2 18446744073709551617 2.5\n",
+            b"1 1 1.5\n2 9999999999999999999 2.5\n",
+            b"1 x 1.5\n\xFF 2 2.5\n",
+            b"1 1 1.5\n2 \xFF2 2.5\n",
+            b"1 1 1.5 extra\t9\n2 2 2.5 \n",
+            b"1 1 1.5\n2 2 2.5x extra\n",
+        ];
+        for body in bodies {
+            reads_as_the_oracle(&[head.as_bytes(), body].concat());
+        }
+    }
+
+    /// `bytes` read to the oracle's matrix, or to its error message.
+    fn reads_as_the_oracle(bytes: &[u8]) {
+        let got = read_matrix_market::<f64, _>(bytes);
+        let want = oracle::read_matrix_market::<f64, _>(bytes);
+        let shown = String::from_utf8_lossy(bytes);
+        match (got, want) {
+            (Ok(got), Ok(want)) => assert_eq!(got, want, "{shown:?}"),
+            (Err(got), Err(want)) => assert_eq!(got.to_string(), want.to_string(), "{shown:?}"),
+            (got, want) => panic!("{shown:?}: got {got:?}, oracle {want:?}"),
+        }
+    }
+
+    #[test]
+    fn shape_and_order_are_checked_as_from_triplets_checks_them() {
+        let wide = "5000000000 3 2\n";
+        for (kind, body) in [
+            ("general", "3 3 2\n4 1 1.0\n1 1 2.0\n"),
+            // A parse error after an entry outside the shape comes first.
+            ("general", "3 3 2\n4 1 1.0\n1 x 2.0\n"),
+            ("general", "3 3 3\n2 1 1.0\n1 1 2.0\n3 3 1\n"),
+            ("general", "3 3 2\n1 1 1.0\n1 1 2.0\n"),
+            ("general", "3 3 2\n2 2 1.0\n1 3 -0.0\n"),
+            ("symmetric", "3 3 2\n2 1 1.0\n3 2 2.0\n"),
+            ("symmetric", "3 3 1\n1 4 1.0\n"),
+            // Indices past 2^32 fit only a shape with more rows than that.
+            ("general", &format!("{wide}4294967297 1 1.0\n1 1 2.0\n")),
+            ("general", &format!("{wide}1 1 1.0\n4294967297 1 2.0\n")),
+            ("general", "3 3 1\n4294967297 1 1.0\n"),
+        ] {
+            reads_as_the_oracle(
+                format!("%%MatrixMarket matrix coordinate real {kind}\n{body}").as_bytes(),
+            );
+        }
+    }
+
+    #[test]
+    fn word_search_finds_the_first_newline() {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+        // Bytes next to `\n` (borrows), zero, and high bytes.
+        let others = b"\x0B\x09\x0E\x00\x01\x08\x8A\x80\xFF0a ";
+        for _ in 0..20_000 {
+            let len = rng.gen_range(0..40usize);
+            let s: Vec<u8> = (0..len)
+                .map(|_| {
+                    if rng.gen_bool(0.05) {
+                        b'\n'
+                    } else {
+                        others[rng.gen_range(0..others.len())]
+                    }
+                })
+                .collect();
+            assert_eq!(find_newline(&s), s.iter().position(|&b| b == b'\n'), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn index_fields_parse_as_usize_from_str() {
+        let fields = [
+            "1",
+            "007",
+            "+5",
+            "-5",
+            "1_0",
+            "\u{663}",
+            "18446744073709551615",
+            "18446744073709551616",
+            "9999999999999999999",
+            "00000000000000000000001",
+        ];
+        for field in fields {
+            for line in [format!("{field} 1 2.5"), format!("1 {field}\t2.5"), format!("1 {field}")]
+            {
+                let fast = line.is_ascii().then(|| ascii_entry(&line)).flatten();
+                let mut words = line.split_whitespace();
+                let parsed = (words.next().unwrap().parse(), words.next().unwrap().parse());
+                match (fast, parsed) {
+                    (Some((r, c, _)), (Ok(pr), Ok(pc))) => assert_eq!((r, c), (pr, pc), "{line:?}"),
+                    // The `&str` path reads every line the fast path leaves.
+                    (None, _) => {}
+                    (fast, parsed) => panic!("{line:?}: fast {fast:?}, from_str {parsed:?}"),
+                }
+            }
+        }
+        assert_eq!(ascii_entry(" 12\x0B34\x0C-1e3\r"), Some((12, 34, Some("-1e3"))));
+        assert_eq!(ascii_entry("12 34 1.5 extra "), Some((12, 34, Some("1.5 extra"))));
+        assert_eq!(ascii_entry("12 34"), Some((12, 34, None)));
+        assert_eq!(ascii_entry("% 1 2 3"), None);
     }
 
     #[test]

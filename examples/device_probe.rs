@@ -26,9 +26,11 @@ fn main() {
                 for w0 in (0..256).step_by(32) {
                     for j in 0..16 {
                         let base = (b * 256 + w0) * 16 + j * 32;
-                        let addrs: Vec<u64> =
-                            (0..32).map(|l| buf.addr((base + l) % buf.len)).collect();
-                        ctx.global_read(&addrs, 8);
+                        let mut load = ctx.load(8);
+                        for l in 0..32 {
+                            load.lane(buf.addr((base + l) % buf.len));
+                        }
+                        load.end();
                     }
                 }
             });
