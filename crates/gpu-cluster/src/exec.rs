@@ -119,21 +119,14 @@ pub struct ClusterConfig {
     pub link: LinkProfile,
     /// Per-partition compression format.
     pub format: ClusterFormat,
-    /// When true (default), partition weights follow each device's
-    /// measured memory bandwidth; when false the split is uniform.
-    pub weighted: bool,
-    /// Relative tolerance for the mandatory CPU-reference check.
-    pub check_tol: f64,
 }
+
+/// Relative tolerance of the mandatory CPU-reference check.
+const CHECK_TOL: f64 = 1e-9;
 
 impl Default for ClusterConfig {
     fn default() -> Self {
-        ClusterConfig {
-            link: LinkProfile::pcie_gen2(),
-            format: ClusterFormat::BroHyb,
-            weighted: true,
-            check_tol: 1e-9,
-        }
+        ClusterConfig { link: LinkProfile::pcie_gen2(), format: ClusterFormat::BroHyb }
     }
 }
 
@@ -167,9 +160,8 @@ impl<T: Scalar> ClusterSpmv<T> {
     /// Panics if `profiles` is empty.
     pub fn build(a: &CsrMatrix<T>, profiles: &[DeviceProfile], config: ClusterConfig) -> Self {
         assert!(!profiles.is_empty(), "at least one device is required");
-        let weights =
-            if config.weighted { bandwidth_weights(profiles) } else { vec![1.0; profiles.len()] };
-        let partition = RowPartition::balanced(a, &weights);
+        // Partition weights follow each device's memory bandwidth.
+        let partition = RowPartition::balanced(a, &bandwidth_weights(profiles));
         let parts = partition.split(a);
         let plan = HaloPlan::build(&partition, &parts);
         let format = config.format;
@@ -219,7 +211,7 @@ impl<T: Scalar> ClusterSpmv<T> {
     /// # Panics
     ///
     /// Panics if `x` has the wrong length or the distributed product
-    /// disagrees with the reference beyond `config.check_tol`.
+    /// disagrees with the reference beyond a relative tolerance of 1e-9.
     pub fn spmv(&self, x: &[T]) -> (Vec<T>, ClusterReport) {
         self.spmv_traced(x, &Tracer::disabled())
     }
@@ -256,7 +248,7 @@ impl<T: Scalar> ClusterSpmv<T> {
 
         // The invariant: a distributed run that returns is a correct run.
         let expect = self.reference.spmv(x).expect("reference SpMV on conforming input");
-        assert_vec_approx_eq(&y, &expect, self.config.check_tol);
+        assert_vec_approx_eq(&y, &expect, CHECK_TOL);
 
         let report = ClusterReport::from_devices(
             timings,

@@ -80,7 +80,13 @@ impl SetAssocCache {
 
     /// Accesses the byte address; returns `true` on hit. A miss installs the
     /// line, evicting the LRU way of its set.
-    #[inline]
+    ///
+    /// Every kernel's per-lane loop calls this. Left to the inliner, whether
+    /// it is inlined there depends on which other callers share the
+    /// kernel's codegen unit, and that moved a kernel's host time by about
+    /// 10 % between builds of the same source. So the MRU check is always
+    /// inlined and the rest of the access is never.
+    #[inline(always)]
     pub fn access(&mut self, addr: u64) -> bool {
         if self.sets == 0 {
             self.misses += 1;
@@ -99,7 +105,7 @@ impl SetAssocCache {
     /// at `first`: the hit way, or on a miss the LRU way, takes the line to
     /// the front and the ways before it age by one. Written without
     /// data-dependent branches; a miss here is common and unpredictable.
-    #[inline]
+    #[inline(never)]
     fn access_behind_mru(&mut self, first: usize, line: u64) -> bool {
         let ways = &mut self.tags[first..first + self.assoc];
         let mut k = ways.len() - 1;

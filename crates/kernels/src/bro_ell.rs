@@ -12,7 +12,8 @@
 //! a single `rb` and next-symbol index plus one buffered symbol per lane,
 //! so the refill branch is taken once per warp and column. A lane then
 //! loads its value, reads `x` through the texture cache and multiply-adds
-//! in a single pass over the warp.
+//! in a single pass over the warp. The same slice routine runs BRO-ELL-R
+//! (given its row lengths) and the BRO-ELL SpMM (given `k` vectors).
 //!
 //! Deviation from the paper's pseudocode: the refill test is `b ≤ rb`
 //! rather than `b < rb`, i.e. a new symbol is loaded lazily instead of
@@ -25,7 +26,7 @@ use bro_core::{BroEll, BroEllSlice};
 use bro_gpu_sim::{BlockCtx, BufferAddr, DeviceSim};
 use bro_matrix::Scalar;
 
-use crate::common::{assemble_rows, LaneRun};
+use crate::common::{longest_row, LaneRun, Vectors};
 
 /// Integer-op cost charged per lane and iteration when decoding from the
 /// buffer (compare, extract, shift, accumulate, validity test).
@@ -41,37 +42,51 @@ pub fn bro_ell_spmv<T: Scalar, W: Symbol>(
     x: &[T],
 ) -> Vec<T> {
     assert_eq!(x.len(), bro.cols(), "x length must match matrix columns");
-    sim.reset_stats();
-    if bro.rows() == 0 {
-        return Vec::new();
-    }
-    let launch = SliceLaunch::alloc(sim, bro, x, None);
-    sim.label_next_launch("bro-ell/slices");
-    launch.run(sim)
+    slice_launch(sim, bro, &[x], None, "bro-ell/slices").swap_remove(0)
 }
 
-/// One BRO-ELL (or BRO-ELL-R) launch: the matrix, `x`, and their device
-/// buffers. One thread block per slice, one thread per slice row.
-pub(crate) struct SliceLaunch<'a, T: Scalar, W: Symbol> {
+/// Computes `y = A·x` for every `x` of `xs` in one launch labelled `label`,
+/// one thread block per slice and one thread per slice row. With
+/// BRO-ELL-R's `row_lengths`, each warp loads its rows' lengths and stops
+/// at its longest row.
+pub(crate) fn slice_launch<T: Scalar, W: Symbol>(
+    sim: &mut DeviceSim,
+    bro: &BroEll<T, W>,
+    xs: &[&[T]],
+    row_lengths: Option<&[u32]>,
+    label: &'static str,
+) -> Vec<Vec<T>> {
+    sim.reset_stats();
+    if bro.rows() == 0 {
+        return vec![Vec::new(); xs.len()];
+    }
+    let launch = SliceLaunch::alloc(sim, bro, xs, row_lengths);
+    let h = bro.slice_height();
+    let warp = sim.profile().warp_size;
+    sim.label_next_launch(label);
+    let chunks = sim.launch(bro.slices().len(), h, |b, ctx| launch.slice(ctx, b, warp));
+    launch.vecs.assemble(bro.rows(), h, chunks)
+}
+
+/// One BRO-ELL (or BRO-ELL-R) launch: the matrix, the vectors, and their
+/// device buffers.
+struct SliceLaunch<'a, T: Scalar, W: Symbol> {
     bro: &'a BroEll<T, W>,
-    x: &'a [T],
     stream_bufs: Vec<BufferAddr>,
     val_bufs: Vec<BufferAddr>,
-    x_buf: BufferAddr,
-    y_buf: BufferAddr,
-    /// BRO-ELL-R's row lengths and their buffer: each warp loads its rows'
-    /// lengths and stops at its longest row.
+    /// BRO-ELL-R's row lengths and their buffer.
     row_lengths: Option<(&'a [u32], BufferAddr)>,
+    vecs: Vectors<'a, T>,
 }
 
 impl<'a, T: Scalar, W: Symbol> SliceLaunch<'a, T, W> {
     /// Allocates the device buffers (one stream and one value buffer per
-    /// slice, then the row lengths if given, then `x` and `y`) and charges
-    /// the constant-memory metadata.
-    pub(crate) fn alloc(
+    /// slice, then the row lengths if given, then every `x` and every `y`)
+    /// and charges the constant-memory metadata.
+    fn alloc(
         sim: &mut DeviceSim,
         bro: &'a BroEll<T, W>,
-        x: &'a [T],
+        xs: &'a [&'a [T]],
         row_lengths: Option<&'a [u32]>,
     ) -> Self {
         let stream_bufs = bro
@@ -82,46 +97,31 @@ impl<'a, T: Scalar, W: Symbol> SliceLaunch<'a, T, W> {
         let val_bufs =
             bro.slices().iter().map(|s| sim.alloc(s.vals.len().max(1), T::BYTES)).collect();
         let row_lengths = row_lengths.map(|lengths| (lengths, sim.alloc(bro.rows(), 4)));
-        let x_buf = sim.alloc(x.len().max(1), T::BYTES);
-        let y_buf = sim.alloc(bro.rows(), T::BYTES);
+        let vecs = Vectors::alloc(sim, xs, bro.rows());
         // bit_alloc and num_col live in constant memory: charged once.
         sim.charge_constant(bro.metadata_bytes() as u64);
-        SliceLaunch { bro, x, stream_bufs, val_bufs, x_buf, y_buf, row_lengths }
+        SliceLaunch { bro, stream_bufs, val_bufs, row_lengths, vecs }
     }
 
-    /// Launches one block per slice and assembles `y`.
-    pub(crate) fn run(&self, sim: &mut DeviceSim) -> Vec<T> {
-        let h = self.bro.slice_height();
-        let warp = sim.profile().warp_size;
-        let chunks = sim.launch(self.bro.slices().len(), h, |b, ctx| self.slice(ctx, b, warp));
-        assemble_rows(self.bro.rows(), h, chunks)
-    }
-
-    /// Executes slice `b` (one thread block); returns its dense y chunk.
+    /// Executes slice `b` (one thread block); returns each vector's rows of
+    /// the slice in turn.
     fn slice(&self, ctx: &mut BlockCtx, b: usize, warp: usize) -> Vec<T> {
         let slice: &BroEllSlice<T, W> = &self.bro.slices()[b];
         let (stream_buf, val_buf) = (self.stream_bufs[b], self.val_bufs[b]);
         let height = slice.height;
         let row0 = b * self.bro.slice_height();
         let elem = T::BYTES as u64;
-        let mut y_local = vec![T::ZERO; height];
+        let (x, x_buf) = self.vecs.x(0);
+        let mut y_local = vec![T::ZERO; height * self.vecs.k()];
         let mut dec = WarpDecoder::<W>::new();
         // Per-lane running column, offset by one (0 = before the first).
         let mut cols: Vec<usize> = Vec::with_capacity(warp);
         for w0 in (0..height).step_by(warp) {
             let lanes = (height - w0).min(warp);
-            let rows = row0 + w0..row0 + w0 + lanes;
+            let row = row0 + w0;
             let num_cols = match self.row_lengths {
                 None => slice.num_cols,
-                Some((lengths, len_buf)) => {
-                    // Coalesced row-length load; the warp stops at its
-                    // longest row.
-                    let mut load = ctx.load(4);
-                    load.lanes(len_buf.addr(rows.start), lanes);
-                    load.end();
-                    let longest = lengths[rows.clone()].iter().max().copied().unwrap_or(0);
-                    (longest as usize).min(slice.num_cols)
-                }
+                Some(lengths) => longest_row(ctx, lengths, row, lanes).min(slice.num_cols),
             };
             dec.reset(lanes);
             cols.clear();
@@ -150,8 +150,8 @@ impl<'a, T: Scalar, W: Symbol> SliceLaunch<'a, T, W> {
                     if d != 0 {
                         *col += d as usize;
                         run.lane(i);
-                        vals.tex_lane(self.x_buf.addr(*col - 1), elem);
-                        *y = v.mul_add(self.x[*col - 1], *y);
+                        vals.tex_lane(x_buf.addr(*col - 1), elem);
+                        *y = v.mul_add(x[*col - 1], *y);
                         active += 1;
                     } else {
                         run.end(&mut vals);
@@ -160,10 +160,15 @@ impl<'a, T: Scalar, W: Symbol> SliceLaunch<'a, T, W> {
                 run.end(&mut vals);
                 vals.end();
                 ctx.flops(2 * active);
+                // SpMM: each further vector makes one more pass over the valid lanes.
+                if self.vecs.k() > 1 {
+                    let valid =
+                        dec.deltas().iter().zip(&cols).enumerate().filter(|(_, (&d, _))| d != 0);
+                    let lanes = valid.map(|(l, (_, &col))| (w0 + l, first + l, col - 1));
+                    self.vecs.further_passes(ctx, lanes, &slice.vals, &mut y_local, 2 * active);
+                }
             }
-            let mut store = ctx.store(elem);
-            store.lanes(self.y_buf.addr(rows.start), lanes);
-            store.end();
+            self.vecs.store(ctx, row, lanes);
         }
         y_local
     }

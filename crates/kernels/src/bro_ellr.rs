@@ -10,7 +10,7 @@ use bro_core::BroEllR;
 use bro_gpu_sim::DeviceSim;
 use bro_matrix::Scalar;
 
-use crate::bro_ell::SliceLaunch;
+use crate::bro_ell::slice_launch;
 
 /// Computes `y = A·x` for a BRO-ELL-R matrix on the simulated device.
 pub fn bro_ellr_spmv<T: Scalar, W: Symbol>(
@@ -19,13 +19,7 @@ pub fn bro_ellr_spmv<T: Scalar, W: Symbol>(
     x: &[T],
 ) -> Vec<T> {
     assert_eq!(x.len(), bror.cols(), "x length must match matrix columns");
-    sim.reset_stats();
-    if bror.bro().rows() == 0 {
-        return Vec::new();
-    }
-    let launch = SliceLaunch::alloc(sim, bror.bro(), x, Some(bror.row_lengths()));
-    sim.label_next_launch("bro-ellr/slices");
-    launch.run(sim)
+    slice_launch(sim, bror.bro(), &[x], Some(bror.row_lengths()), "bro-ellr/slices").swap_remove(0)
 }
 
 #[cfg(test)]

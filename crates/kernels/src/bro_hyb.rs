@@ -8,6 +8,7 @@ use bro_matrix::Scalar;
 
 use crate::bro_coo::bro_coo_spmv;
 use crate::bro_ell::bro_ell_spmv;
+use crate::common::add_tail;
 
 /// Computes `y = A·x` for a BRO-HYB matrix on the simulated device.
 /// Statistics accumulate across all launches of both parts.
@@ -16,19 +17,8 @@ pub fn bro_hyb_spmv<T: Scalar, W: Symbol>(
     bro: &BroHyb<T, W>,
     x: &[T],
 ) -> Vec<T> {
-    let mut y = bro_ell_spmv(sim, bro.ell(), x);
-    if y.is_empty() {
-        y = vec![T::ZERO; bro.rows()];
-    }
-    if bro.coo().nnz() > 0 {
-        let mut coo_sim = sim.sibling();
-        let y_coo = bro_coo_spmv(&mut coo_sim, bro.coo(), x);
-        sim.absorb_snapshot(&coo_sim.snapshot());
-        for (a, b) in y.iter_mut().zip(y_coo) {
-            *a += b;
-        }
-    }
-    y
+    let y = bro_ell_spmv(sim, bro.ell(), x);
+    add_tail(sim, y, bro.coo().nnz(), |s| bro_coo_spmv(s, bro.coo(), x))
 }
 
 #[cfg(test)]

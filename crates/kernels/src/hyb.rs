@@ -4,7 +4,8 @@
 use bro_gpu_sim::DeviceSim;
 use bro_matrix::{HybMatrix, Scalar};
 
-use crate::coo::coo_spmv_with;
+use crate::common::add_tail;
+use crate::coo::{coo_spmv_with, DEFAULT_INTERVAL};
 use crate::ell::ell_spmv;
 
 /// Computes `y = A·x` for a HYB matrix on the simulated device.
@@ -13,18 +14,8 @@ use crate::ell::ell_spmv;
 /// suppressed), so a single [`bro_gpu_sim::KernelReport`] covers the whole
 /// HYB SpMV.
 pub fn hyb_spmv<T: Scalar>(sim: &mut DeviceSim, hyb: &HybMatrix<T>, x: &[T]) -> Vec<T> {
-    let mut y = ell_spmv(sim, hyb.ell(), x);
-    if hyb.coo().nnz() > 0 {
-        // Run the COO part on a sibling device so the ELL statistics are not
-        // reset, then merge: same profile (and tracer), fresh address space.
-        let mut coo_sim = sim.sibling();
-        let y_coo = coo_spmv_with(&mut coo_sim, hyb.coo(), x, crate::coo::DEFAULT_INTERVAL);
-        sim.absorb_snapshot(&coo_sim.snapshot());
-        for (a, b) in y.iter_mut().zip(y_coo) {
-            *a += b;
-        }
-    }
-    y
+    let y = ell_spmv(sim, hyb.ell(), x);
+    add_tail(sim, y, hyb.coo().nnz(), |s| coo_spmv_with(s, hyb.coo(), x, DEFAULT_INTERVAL))
 }
 
 #[cfg(test)]

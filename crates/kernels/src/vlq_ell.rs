@@ -18,7 +18,7 @@ use bro_core::vlq_ell::VlqEll;
 use bro_gpu_sim::DeviceSim;
 use bro_matrix::Scalar;
 
-use crate::common::assemble_rows;
+use crate::common::{assemble_rows, longest_row};
 use crate::BLOCK_SIZE;
 
 /// Integer ops per decoded byte per lane (load-extract-shift-or-test).
@@ -64,12 +64,12 @@ pub fn vlq_ell_spmv<T: Scalar>(sim: &mut DeviceSim, vlq: &VlqEll<T>, x: &[T]) ->
         let mut decoded: Vec<u64> = Vec::with_capacity(warp);
         for w0 in (0..height).step_by(warp) {
             let lanes = (height - w0).min(warp);
-            // Row offsets and lengths (these at least coalesce).
-            for (buf, bytes) in [(off_buf, 8), (len_buf, 4)] {
-                let mut load = ctx.load(bytes);
-                load.lanes(buf.addr(row0 + w0), lanes);
-                load.end();
-            }
+            // Row offsets and lengths (these at least coalesce); the warp
+            // iterates to its longest row.
+            let mut load = ctx.load(8);
+            load.lanes(off_buf.addr(row0 + w0), lanes);
+            load.end();
+            let warp_max = longest_row(ctx, (vlq.row_lengths(), len_buf), row0 + w0, lanes);
 
             // Per-lane stream cursors and value positions.
             pos.clear();
@@ -78,8 +78,6 @@ pub fn vlq_ell_spmv<T: Scalar>(sim: &mut DeviceSim, vlq: &VlqEll<T>, x: &[T]) ->
             vpos.extend_from_slice(&val_start[row0 + w0..row0 + w0 + lanes]);
             cols.clear();
             cols.resize(lanes, -1);
-            let warp_max =
-                (0..lanes).map(|l| vlq.row_lengths()[row0 + w0 + l] as usize).max().unwrap_or(0);
 
             for j in 0..warp_max {
                 // Decode one varint per active lane, byte by byte: loads are

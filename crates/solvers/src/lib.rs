@@ -17,13 +17,11 @@
 pub mod bicgstab;
 pub mod cg;
 pub mod gmres;
-pub mod trace;
 pub mod vecops;
 
 pub use bicgstab::{bicgstab, BiCgStabOptions};
 pub use cg::{cg, cg_jacobi, CgOptions};
 pub use gmres::{gmres, GmresOptions};
-pub use trace::{bicgstab_traced, cg_traced, gmres_traced};
 
 /// Outcome of an iterative solve.
 #[derive(Debug, Clone, PartialEq)]

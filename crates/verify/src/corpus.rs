@@ -24,6 +24,10 @@ use std::path::Path;
 
 use bro_matrix::CooMatrix;
 
+/// Most triplets reserved up front: the header's `nnz` is untrusted, so a
+/// longer list grows as its lines arrive.
+const PREALLOC_CAP: usize = 1 << 16;
+
 /// One persisted case: a matrix, an input vector, and provenance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CorpusCase {
@@ -125,9 +129,10 @@ impl CorpusCase {
                     let [rows, cols, nnz] = dims[..] else {
                         return Err(malformed("matrix header needs 'rows cols nnz'"));
                     };
-                    let mut ri = Vec::with_capacity(nnz);
-                    let mut ci = Vec::with_capacity(nnz);
-                    let mut vs = Vec::with_capacity(nnz);
+                    let cap = nnz.min(PREALLOC_CAP);
+                    let mut ri = Vec::with_capacity(cap);
+                    let mut ci = Vec::with_capacity(cap);
+                    let mut vs = Vec::with_capacity(cap);
                     for _ in 0..nnz {
                         let entry =
                             lines.next().ok_or_else(|| malformed("truncated triplet list"))??;
@@ -277,6 +282,14 @@ mod tests {
         let text = "family f\nseed 1\nnote n\nmatrix 2 2 3\n0 0 1\n";
         let err = CorpusCase::read_from(&mut text.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("truncated"));
+    }
+
+    #[test]
+    fn huge_header_counts_are_errors_not_aborts() {
+        for text in ["matrix 1 1 1000000000000000\n0 0 1\n", "matrix 1 1 18446744073709551615\n"] {
+            let err = CorpusCase::read_from(&mut text.as_bytes()).unwrap_err();
+            assert!(err.to_string().contains("truncated"), "{text:?}: {err}");
+        }
     }
 
     #[test]

@@ -28,10 +28,9 @@
 //! reference), replays the regression corpus, checks the golden perf-model
 //! snapshots, and asserts thread-count determinism (`--threads 1` vs N).
 //! `--inject-fault <format>:<kind>` corrupts one format on purpose to
-//! prove failures are caught and shrunk; `--update-golden` (or
-//! `UPDATE_GOLDEN=1`) refreshes the snapshots. `--seed S` sets the fuzz
-//! base seed so CI campaigns replay exactly; the seed of any failing case
-//! is part of the failure report.
+//! prove failures are caught and shrunk; `UPDATE_GOLDEN=1` refreshes the
+//! snapshots. `--seed S` sets the fuzz base seed so CI campaigns replay
+//! exactly; the seed of any failing case is part of the failure report.
 //!
 //! Every subcommand accepts `--threads N` to bound the rayon worker pool
 //! (0 = all cores); `--threads 1` reproduces serial execution exactly.
@@ -65,7 +64,6 @@ struct Args {
     seed: u64,
     threads: usize,
     inject_fault: Option<FaultSpec>,
-    update_golden: bool,
     out_dir: std::path::PathBuf,
     out_set: bool,
 }
@@ -85,7 +83,6 @@ fn parse_args(raw: &[String]) -> Args {
         seed: 1,
         threads: 0,
         inject_fault: None,
-        update_golden: false,
         out_dir: "out".into(),
         out_set: false,
     };
@@ -141,7 +138,6 @@ fn parse_args(raw: &[String]) -> Args {
                 });
                 a.inject_fault = Some(FaultSpec { format, kind });
             }
-            "--update-golden" => a.update_golden = true,
             "--out" => {
                 a.out_dir = flag_value(&mut it, "--out").into();
                 a.out_set = true;
@@ -301,7 +297,7 @@ fn cmd_partition(a: &Args) {
     let csr = CsrMatrix::from_coo(&m);
     let profiles = cluster_profiles(a);
     let format = cluster_format(a);
-    let config = ClusterConfig { link: a.link.clone(), format, ..Default::default() };
+    let config = ClusterConfig { link: a.link.clone(), format };
     let cluster = ClusterSpmv::build(&csr, &profiles, config);
 
     println!(
@@ -364,6 +360,9 @@ fn cmd_suite() {
 }
 
 fn cmd_verify(a: &Args) {
+    if let Some(arg) = a.positional.first() {
+        die(&format!("verify takes no argument '{arg}' (UPDATE_GOLDEN=1 re-blesses the goldens)"));
+    }
     let t0 = std::time::Instant::now();
     let mut failed = false;
     println!("verify: {} worker thread(s)", effective_threads());
@@ -420,8 +419,7 @@ fn cmd_verify(a: &Args) {
     }
 
     // 3. Golden perf-model conformance.
-    let update = a.update_golden || verify::update_requested();
-    match verify::golden::run(update) {
+    match verify::golden::run(verify::update_requested()) {
         Ok(outcome) if outcome.updated => {
             println!(
                 "golden: rewrote {} snapshot files in {}",
@@ -634,18 +632,11 @@ mod tests {
 
     #[test]
     fn parse_args_verify_flags() {
-        let raw: Vec<String> = [
-            "--iters",
-            "3",
-            "--inject-fault",
-            "bro-ell:drop-last-entry",
-            "--update-golden",
-            "--out",
-            "tmp",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        let raw: Vec<String> =
+            ["--iters", "3", "--inject-fault", "bro-ell:drop-last-entry", "--out", "tmp"]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
         let a = parse_args(&raw);
         assert_eq!(a.iters, 3);
         assert_eq!(a.seed, 1);
@@ -654,7 +645,6 @@ mod tests {
             a.inject_fault,
             Some(FaultSpec { format: "bro-ell", kind: FaultKind::DropLastEntry })
         );
-        assert!(a.update_golden);
         assert_eq!(a.out_dir, std::path::PathBuf::from("tmp"));
     }
 

@@ -14,7 +14,6 @@ use bro_spmv::kernels::registry;
 use bro_spmv::matrix::scalar::assert_vec_approx_eq;
 use bro_spmv::matrix::{generate::laplacian_2d, suite};
 use bro_spmv::prelude::*;
-use bro_spmv::solvers::cg_traced;
 use bro_spmv::verify::validate_chrome_trace;
 
 fn test_matrix() -> CooMatrix<f64> {
@@ -113,12 +112,13 @@ fn traced_solve_produces_well_nested_spans() {
     let mut sim = DeviceSim::builder(DeviceProfile::tesla_k20()).tracer(tracer.clone()).build();
     let prepared = registry::by_name("bro-ell").unwrap().build_from_coo(&a);
     let opts = CgOptions { max_iters: 10, tol: 1e-300 };
-    cg_traced(|v| prepared.run(&mut sim, v), &b, &opts, &tracer);
+    cg(|v| prepared.run(&mut sim, v), &b, &opts);
 
     let spans = tracer.spans();
-    assert_eq!(spans.iter().filter(|s| s.name == "cg/iteration").count(), 10);
-    // Kernel spans nest under iterations, launch spans under kernel spans.
-    assert!(spans.iter().any(|s| s.name == "spmv/bro-ell" && s.parent.is_some()));
+    // Every operator application is one `spmv/bro-ell` root span, with the
+    // kernel's launch spans nested below it.
+    let roots = spans.iter().filter(|s| s.is_root());
+    assert_eq!(roots.filter(|s| s.name == "spmv/bro-ell").count(), 10);
     assert!(spans.iter().any(|s| s.name == "bro-ell/slices" && s.parent.is_some()));
     for child in spans.iter().filter(|s| s.parent.is_some()) {
         let parent = spans
@@ -137,7 +137,7 @@ fn traced_solve_produces_well_nested_spans() {
 
     // The registry aggregates per-name; 10 iterations → count 10.
     let metrics = MetricsRegistry::from_spans(&spans);
-    assert_eq!(metrics.get("cg/iteration/dur_us").unwrap().count, 10);
+    assert_eq!(metrics.get("spmv/bro-ell/dur_us").unwrap().count, 10);
 }
 
 /// With tracing disabled every result and every counter is bit-identical
