@@ -7,7 +7,6 @@
 use bro_core::{BroCoo, BroCooConfig, BroEll, BroEllConfig};
 use bro_gpu_sim::DeviceProfile;
 use bro_kernels::{bro_coo_spmv, bro_ell_spmv};
-use bro_matrix::EllMatrix;
 
 use crate::context::ExpContext;
 use crate::experiments::run_kernel;
@@ -23,7 +22,6 @@ pub fn run(ctx: &mut ExpContext) {
     let dev = DeviceProfile::tesla_k20();
     let name = if ctx.selected("cant") { "cant" } else { "consph" };
     let coo = ctx.matrix(name).clone();
-    let ell = EllMatrix::from_coo(&coo);
     let x = ctx.input_vector(coo.cols());
     let flops = 2 * coo.nnz() as u64;
 
@@ -31,7 +29,7 @@ pub fn run(ctx: &mut ExpContext) {
     let mut t_h = TextTable::new(&["h", "eta", "GFLOP/s"]);
     for &h in HEIGHTS.iter() {
         let cfg = BroEllConfig { slice_height: h, ..Default::default() };
-        let bro: BroEll<f64> = BroEll::compress(&ell, &cfg);
+        let bro: BroEll<f64> = BroEll::from_coo(&coo, &cfg);
         let r = run_kernel(&dev, flops, 8, |s| {
             bro_ell_spmv(s, &bro, &x);
         });
@@ -42,12 +40,12 @@ pub fn run(ctx: &mut ExpContext) {
     // Symbol length: 32 vs 64 bits.
     let mut t_sym = TextTable::new(&["sym_len", "eta", "GFLOP/s"]);
     {
-        let bro32: BroEll<f64, u32> = BroEll::compress(&ell, &BroEllConfig::default());
+        let bro32: BroEll<f64, u32> = BroEll::from_coo(&coo, &BroEllConfig::default());
         let r32 = run_kernel(&dev, flops, 8, |s| {
             bro_ell_spmv(s, &bro32, &x);
         });
         t_sym.row(vec!["32".into(), pct(bro32.space_savings().eta()), f(r32.gflops, 2)]);
-        let bro64: BroEll<f64, u64> = BroEll::compress(&ell, &BroEllConfig::default());
+        let bro64: BroEll<f64, u64> = BroEll::from_coo(&coo, &BroEllConfig::default());
         let r64 = run_kernel(&dev, flops, 8, |s| {
             bro_ell_spmv(s, &bro64, &x);
         });
@@ -74,7 +72,7 @@ pub fn run(ctx: &mut ExpContext) {
     // Texture cache: default size vs effectively disabled (a single line).
     // Quantifies how much of SpMV performance rides on x-vector locality.
     let mut t_tex = TextTable::new(&["tex cache", "GFLOP/s", "tex hit rate", "DRAM MB"]);
-    let bro: BroEll<f64> = BroEll::compress(&ell, &BroEllConfig::default());
+    let bro: BroEll<f64> = BroEll::from_coo(&coo, &BroEllConfig::default());
     for (label, bytes) in [("48 KiB (default)", dev.tex_cache_bytes), ("disabled", 0)] {
         let mut small_dev = dev.clone();
         small_dev.tex_cache_bytes = bytes;

@@ -44,7 +44,7 @@ pub fn run(ctx: &mut ExpContext) {
         let mut crossover: Option<f64> = None;
         for &w in WIDTHS.iter() {
             let cfg = BroEllConfig { slice_height: 256, forced_width: Some(w) };
-            let bro: BroEll<f64> = BroEll::compress(&ell, &cfg);
+            let bro: BroEll<f64> = BroEll::from_coo(&coo, &cfg);
             let eta = bro.space_savings().eta();
             let report = run_kernel(&dev, flops, 8, |sim| {
                 bro_ell_spmv(sim, &bro, &x);

@@ -20,7 +20,7 @@ pub fn run(ctx: &mut ExpContext) {
         }
         let coo = ctx.matrix(entry.name).clone();
         let ell = EllMatrix::from_coo(&coo);
-        let bro: BroEll<f64> = BroEll::compress(&ell, &BroEllConfig::default());
+        let bro: BroEll<f64> = BroEll::from_coo(&coo, &BroEllConfig::default());
         let x = ctx.input_vector(coo.cols());
         let flops = 2 * coo.nnz() as u64;
         let r_ell = run_kernel(&k20, flops, 8, |s| {

@@ -4,7 +4,6 @@
 
 use bro_core::{BroEll, BroEllConfig};
 use bro_kernels::bro_ell_spmv;
-use bro_matrix::EllMatrix;
 
 use crate::context::ExpContext;
 use crate::experiments::run_kernel;
@@ -21,8 +20,7 @@ pub fn run(ctx: &mut ExpContext) {
             continue;
         }
         let coo = ctx.matrix(name).clone();
-        let ell = EllMatrix::from_coo(&coo);
-        let bro: BroEll<f64> = BroEll::compress(&ell, &BroEllConfig::default());
+        let bro: BroEll<f64> = BroEll::from_coo(&coo, &BroEllConfig::default());
         let x = ctx.input_vector(coo.cols());
         let flops = 2 * coo.nnz() as u64;
         for dev in ctx.devices.clone() {

@@ -35,7 +35,7 @@ pub fn run(ctx: &mut ExpContext) {
         for dev in ctx.devices.clone() {
             // Double precision.
             let ell64 = EllMatrix::from_coo(&a64);
-            let bro64: BroEll<f64> = BroEll::compress(&ell64, &BroEllConfig::default());
+            let bro64: BroEll<f64> = BroEll::from_coo(&a64, &BroEllConfig::default());
             let x64 = ctx.input_vector(a64.cols());
             let r_ell = run_kernel(&dev, flops, 8, |s| {
                 ell_spmv(s, &ell64, &x64);
@@ -53,7 +53,7 @@ pub fn run(ctx: &mut ExpContext) {
             ]);
             // Single precision.
             let ell32 = EllMatrix::from_coo(&a32);
-            let bro32: BroEll<f32> = BroEll::compress(&ell32, &BroEllConfig::default());
+            let bro32: BroEll<f32> = BroEll::from_coo(&a32, &BroEllConfig::default());
             let x32: Vec<f32> = x64.iter().map(|&v| v as f32).collect();
             let r_ell = run_kernel(&dev, flops, 4, |s| {
                 ell_spmv(s, &ell32, &x32);

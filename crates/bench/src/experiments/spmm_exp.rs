@@ -20,7 +20,7 @@ pub fn run(ctx: &mut ExpContext) {
     let name = if ctx.selected("cant") { "cant" } else { "consph" };
     let a = ctx.matrix(name).clone();
     let ell = EllMatrix::from_coo(&a);
-    let bro: BroEll<f64> = BroEll::compress(&ell, &BroEllConfig::default());
+    let bro: BroEll<f64> = BroEll::from_coo(&a, &BroEllConfig::default());
 
     let mut t = TextTable::new(&["vectors", "ELL GF/s", "BRO-ELL GF/s", "speedup"]);
     for &k in WIDTHS.iter() {

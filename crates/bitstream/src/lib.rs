@@ -34,4 +34,4 @@ pub use reader::BitReader;
 pub use symbol::Symbol;
 pub use warp::WarpDecoder;
 pub use width::{bits_for, max_bits};
-pub use writer::{BitString, BitWriter};
+pub use writer::{BitString, BitWriter, StridedWriter};

@@ -145,6 +145,71 @@ impl<W: Symbol> BitWriter<W> {
     }
 }
 
+/// Writes variable-width values MSB-first, like [`BitWriter`], but straight
+/// into one lane of an already multiplexed stream: symbol `c` of the lane
+/// lands at `out[first + c · stride]`.
+///
+/// This is how the BRO encoders avoid building one [`BitString`] per row and
+/// interleaving them afterwards with [`multiplex`](crate::multiplex()): a
+/// row's deltas pass through a 128-bit accumulator and each completed symbol
+/// is stored in its final slot. `out` must be zero-initialised; the lane's
+/// trailing padding bits are left as they are.
+///
+/// ```
+/// use bro_bitstream::{BitReader, StridedWriter};
+/// let mut stream = vec![0u32; 4]; // 2 lanes x 2 symbols
+/// let mut w = StridedWriter::new(&mut stream, 1, 2);
+/// w.write(5, 30);
+/// w.write(3, 4); // crosses into the lane's second symbol
+/// w.finish();
+/// let lane: Vec<u32> = vec![stream[1], stream[3]];
+/// let mut r = BitReader::new(&lane);
+/// assert_eq!((r.read(30), r.read(4)), (5, 3));
+/// ```
+#[derive(Debug)]
+pub struct StridedWriter<'a, W: Symbol> {
+    out: &'a mut [W],
+    /// Slot of the next symbol to complete.
+    at: usize,
+    stride: usize,
+    /// Pending bits in the low `acc_bits` bits; older bits above them have
+    /// already been stored.
+    acc: u128,
+    /// Number of pending bits, always below `W::BITS`.
+    acc_bits: u32,
+}
+
+impl<'a, W: Symbol> StridedWriter<'a, W> {
+    /// A writer for the lane whose first symbol is `out[first]`.
+    pub fn new(out: &'a mut [W], first: usize, stride: usize) -> Self {
+        StridedWriter { out, at: first, stride, acc: 0, acc_bits: 0 }
+    }
+
+    /// Appends `value` in `width` bits. Panics, like [`BitWriter::write`],
+    /// unless `width ≤ W::BITS` and `value < 2^width`.
+    #[inline]
+    pub fn write(&mut self, value: u64, width: u32) {
+        assert!(width <= W::BITS, "width {width} exceeds symbol width {}", W::BITS);
+        assert!(width == 64 || value < (1u64 << width), "{value} needs more than {width} bits");
+        // Fewer than W::BITS pending plus at most W::BITS new bits: at most
+        // one symbol completes, and 128 bits hold both.
+        self.acc = (self.acc << width) | value as u128;
+        self.acc_bits += width;
+        if self.acc_bits >= W::BITS {
+            self.acc_bits -= W::BITS;
+            self.out[self.at] = W::from_u64((self.acc >> self.acc_bits) as u64);
+            self.at += self.stride;
+        }
+    }
+
+    /// Stores the last partial symbol, its unused low bits zero.
+    pub fn finish(self) {
+        if self.acc_bits > 0 {
+            self.out[self.at] = W::from_u64((self.acc << (W::BITS - self.acc_bits)) as u64);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,5 +311,42 @@ mod tests {
         assert_eq!(pad, 27);
         assert_eq!(s.len_bits, 32);
         assert_eq!(s.pad_to_symbol(), 0); // already aligned
+    }
+
+    #[test]
+    fn strided_writer_matches_bit_writer_then_multiplex() {
+        // Three lanes of the same mixed widths, each interleaved at stride 3.
+        let items: Vec<(u64, u32)> = vec![(5, 3), (0, 0), (0xffff_ffff, 32), (1, 1), (77, 7)];
+        let lanes: Vec<BitString<u32>> = (0..3u64)
+            .map(|lane| {
+                let mut w = BitWriter::<u32>::new();
+                for &(v, b) in &items {
+                    w.write(v >> lane.min(b as u64), b);
+                }
+                let mut s = w.finish();
+                s.pad_to_symbol();
+                s
+            })
+            .collect();
+        let want = crate::multiplex(&lanes).unwrap();
+        let mut got = vec![0u32; want.len()];
+        for lane in 0..3u64 {
+            let mut w = StridedWriter::new(&mut got, lane as usize, 3);
+            for &(v, b) in &items {
+                w.write(v >> lane.min(b as u64), b);
+            }
+            w.finish();
+        }
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn strided_writer_u64_full_width() {
+        let mut got = vec![0u64; 2];
+        let mut w = StridedWriter::new(&mut got, 0, 1);
+        w.write(1, 1);
+        w.write(u64::MAX, 64);
+        w.finish();
+        assert_eq!(got, vec![u64::MAX >> 1 | 1 << 63, 1 << 63]);
     }
 }

@@ -7,14 +7,16 @@
 //! packed at a **single bit width** (the interval's `bit_alloc` entry).
 //!
 //! For coalesced access, lane `i` of the warp handles entries
-//! `start + j·w + i` (`w` = warp size, `j` = step); each lane's deltas are
-//! packed into its own row stream and the streams are multiplexed at symbol
-//! granularity, exactly as in BRO-ELL. Decoding needs a warp-level
-//! inclusive scan per step to turn per-lane deltas back into absolute row
-//! indices, plus a carry across steps — the "parallel scan primitive" whose
-//! cost the paper cites as the reason BRO-COO gains less than BRO-ELL.
+//! `start + j·w + i` (`w` = warp size, `j` = step). Each lane's deltas go
+//! through an accumulator straight into the multiplexed stream, symbol `c`
+//! of the lane at `stream[c·w + lane]` as in BRO-ELL; lanes past the
+//! interval's tail keep zero deltas, so every lane has the same symbol
+//! count. Decoding needs a warp-level inclusive scan per step to turn
+//! per-lane deltas back into absolute row indices, plus a carry across
+//! steps — the "parallel scan primitive" whose cost the paper cites as the
+//! reason BRO-COO gains less than BRO-ELL.
 
-use bro_bitstream::{bits_for, multiplex, BitReader, BitWriter, Symbol};
+use bro_bitstream::{bits_for, BitReader, StridedWriter, Symbol};
 use bro_matrix::{CooMatrix, Scalar};
 use rayon::prelude::*;
 
@@ -78,28 +80,39 @@ pub struct BroCoo<T: Scalar, W: Symbol = u32> {
 impl<T: Scalar, W: Symbol> BroCoo<T, W> {
     /// Compresses a COO matrix. Intervals are compressed in parallel.
     pub fn compress(coo: &CooMatrix<T>, cfg: &BroCooConfig) -> Self {
+        Self::encode(
+            coo.rows(),
+            coo.cols(),
+            coo.row_indices(),
+            coo.col_indices().to_vec(),
+            coo.values().to_vec(),
+            cfg,
+        )
+    }
+
+    /// Compresses the entries `row_idx`, `col_idx`, `vals` of a
+    /// `rows × cols` matrix, sorted row-major, keeping the column and value
+    /// arrays it is given (BRO-HYB moves its COO tail in without a copy).
+    pub(crate) fn encode(
+        rows: usize,
+        cols: usize,
+        row_idx: &[u32],
+        col_idx: Vec<u32>,
+        vals: Vec<T>,
+        cfg: &BroCooConfig,
+    ) -> Self {
         assert!(cfg.warp_size > 0 && cfg.interval_len > 0);
         let w = cfg.warp_size;
         let ilen = cfg.interval_len.div_ceil(w) * w;
-        let nnz = coo.nnz();
-        let rows_arr = coo.row_indices();
-        let n_intervals = nnz.div_ceil(ilen);
-        let intervals: Vec<BroCooInterval<W>> = (0..n_intervals)
+        let nnz = row_idx.len();
+        let intervals: Vec<BroCooInterval<W>> = (0..nnz.div_ceil(ilen))
             .into_par_iter()
             .map(|iv| {
                 let start = iv * ilen;
-                let len = (nnz - start).min(ilen);
-                Self::compress_interval(rows_arr, start, len, w)
+                Self::encode_interval(row_idx, start, (nnz - start).min(ilen), w)
             })
             .collect();
-        BroCoo {
-            rows: coo.rows(),
-            cols: coo.cols(),
-            warp_size: w,
-            intervals,
-            col_idx: coo.col_indices().to_vec(),
-            vals: coo.values().to_vec(),
-        }
+        BroCoo { rows, cols, warp_size: w, intervals, col_idx, vals }
     }
 
     /// Reassembles from previously validated parts (deserialization).
@@ -114,37 +127,24 @@ impl<T: Scalar, W: Symbol> BroCoo<T, W> {
         BroCoo { rows, cols, warp_size, intervals, col_idx, vals }
     }
 
-    fn compress_interval(rows: &[u32], start: usize, len: usize, w: usize) -> BroCooInterval<W> {
-        let base_row = if start == 0 { rows[0] } else { rows[start - 1] };
-        // Deltas in entry order; the first delta is relative to the base.
-        let deltas: Vec<u64> = (0..len)
-            .map(|p| {
-                let prev = if start + p == 0 { rows[0] } else { rows[start + p - 1] };
-                (rows[start + p] - prev) as u64
-            })
-            .collect();
-        let bit_width = deltas.iter().map(|&d| bits_for(d)).max().unwrap_or(0) as u8;
+    fn encode_interval(rows: &[u32], start: usize, len: usize, w: usize) -> BroCooInterval<W> {
+        // Deltas in entry order; the first entry of the matrix has delta 0,
+        // every other one is relative to the entry before it.
+        let delta = |p: usize| (rows[start + p] - rows[(start + p).saturating_sub(1)]) as u64;
+        let base_row = rows[start.saturating_sub(1)];
+        let bit_width = (0..len).map(|p| bits_for(delta(p))).max().unwrap_or(0);
 
-        // Lane i packs deltas at positions i, i+w, i+2w, …
-        let steps = len.div_ceil(w);
-        let lanes: Vec<_> = (0..w)
-            .map(|lane| {
-                let mut writer = BitWriter::<W>::new();
-                for j in 0..steps {
-                    let p = j * w + lane;
-                    // Lanes past the interval tail pack zero deltas so every
-                    // lane stream has identical length.
-                    let d = if p < len { deltas[p] } else { 0 };
-                    writer.write(d, bit_width as u32);
-                }
-                let mut s = writer.finish();
-                s.pad_to_symbol();
-                s
-            })
-            .collect();
-        let stream = multiplex(&lanes).expect("lane streams are equal length");
-        let syms_per_lane = stream.len() / w;
-        BroCooInterval { start, len, base_row, bit_width, syms_per_lane, stream }
+        // Lane i packs the deltas at positions i, i+w, i+2w, …
+        let syms_per_lane = (len.div_ceil(w) * bit_width as usize).div_ceil(W::BITS as usize);
+        let mut stream = vec![W::ZERO; syms_per_lane * w];
+        for lane in 0..w.min(len) {
+            let mut out = StridedWriter::new(&mut stream, lane, w);
+            for p in (lane..len).step_by(w) {
+                out.write(delta(p), bit_width);
+            }
+            out.finish();
+        }
+        BroCooInterval { start, len, base_row, bit_width: bit_width as u8, syms_per_lane, stream }
     }
 
     /// Number of rows.

@@ -1,26 +1,32 @@
 //! The BRO-ELL format (Section 3.1 of the paper).
 //!
 //! Compression pipeline, per slice of `h` consecutive rows (one thread
-//! block each):
+//! block each), read straight from the row-sorted COO arrays:
 //!
-//! 1. delta-encode each row of the ELLPACK column-index array
-//!    (`δ_{i,j} = c_{i,j} − c_{i,j−1}`, zero marking padding);
+//! 1. delta-encode each row's column indices
+//!    (`δ_{i,j} = c_{i,j} − c_{i,j−1}`, `c_{i,−1} = −1`; zero marks
+//!    padding);
 //! 2. record the slice length `l` (the longest row in the slice) in
 //!    `num_col`;
 //! 3. compute the per-column bit allocation
 //!    `bit_alloc = [b_1, …, b_l]`, `b_j` = max bits over the slice's rows;
-//! 4. pack each row's deltas at those widths, pad with `b_p` bits so the
-//!    symbol length divides the row stream;
-//! 5. multiplex the row streams at symbol granularity: symbol `c` of row
-//!    `r` lands at `stream[c·h + r]`.
+//! 4. pack each row's deltas at those widths through an accumulator and
+//!    store every completed symbol in its multiplexed slot: symbol `c` of
+//!    row `r` lands at `stream[c·h + r]`, so no per-row stream is built
+//!    and nothing is interleaved afterwards;
+//! 5. leave the rest of the row as it is: its padding columns (`δ = 0`)
+//!    and the `b_p` bits that round it up to whole symbols are zero, and
+//!    the stream starts zero-filled.
 //!
 //! Values are stored sliced column-major (`vals[c·h + r]` within a slice),
 //! so a slice shorter than the global ELLPACK width `k` skips the padding
 //! columns entirely — the same saving Sliced-ELLPACK gets, which the paper
 //! inherits through `num_col`.
 
-use bro_bitstream::{bits_for, delta_encode_row, multiplex, BitReader, BitWriter, Symbol};
-use bro_matrix::{CooMatrix, EllMatrix, Scalar};
+use std::ops::Range;
+
+use bro_bitstream::{bits_for, BitReader, StridedWriter, Symbol};
+use bro_matrix::{CooMatrix, Scalar};
 use rayon::prelude::*;
 
 use crate::analysis::SpaceSavings;
@@ -91,33 +97,43 @@ pub struct BroEll<T: Scalar, W: Symbol = u32> {
 }
 
 impl<T: Scalar, W: Symbol> BroEll<T, W> {
-    /// Compresses an ELLPACK matrix. Runs offline on the host, slices in
+    /// Compresses a COO matrix. Runs offline on the host, slices in
     /// parallel.
-    pub fn compress(ell: &EllMatrix<T>, cfg: &BroEllConfig) -> Self {
+    pub fn from_coo(coo: &CooMatrix<T>, cfg: &BroEllConfig) -> Self {
+        Self::encode(coo, &coo.row_offsets(), usize::MAX, cfg)
+    }
+
+    /// Compresses the first `cap` entries of every row of `coo`, whose
+    /// [`CooMatrix::row_offsets`] are `offsets`. BRO-HYB's ELL part is
+    /// `cap = k`; a whole matrix is `cap = usize::MAX`.
+    pub(crate) fn encode(
+        coo: &CooMatrix<T>,
+        offsets: &[usize],
+        cap: usize,
+        cfg: &BroEllConfig,
+    ) -> Self {
         assert!(
             (1..=MAX_SLICE_HEIGHT).contains(&cfg.slice_height),
             "slice height must be 1 to {MAX_SLICE_HEIGHT}, the thread-block limit"
         );
-        let m = ell.rows();
+        let m = coo.rows();
         let h = cfg.slice_height;
-        let n_slices = m.div_ceil(h);
-        let slices: Vec<BroEllSlice<T, W>> = (0..n_slices)
+        let len = |r: usize| (offsets[r + 1] - offsets[r]).min(cap);
+        let slices: Vec<BroEllSlice<T, W>> = (0..m.div_ceil(h))
             .into_par_iter()
-            .map(|s| Self::compress_slice(ell, s * h, (m - s * h).min(h), cfg.forced_width))
+            .map(|s| {
+                let rows = s * h..(s * h + h).min(m);
+                Self::encode_slice(coo, offsets, rows, cap, cfg.forced_width)
+            })
             .collect();
         BroEll {
             rows: m,
-            cols: ell.cols(),
-            nnz: ell.nnz(),
-            ell_width: ell.width(),
+            cols: coo.cols(),
+            nnz: (0..m).map(len).sum(),
+            ell_width: (0..m).map(len).max().unwrap_or(0),
             slice_height: h,
             slices,
         }
-    }
-
-    /// Convenience: compress straight from COO.
-    pub fn from_coo(coo: &CooMatrix<T>, cfg: &BroEllConfig) -> Self {
-        Self::compress(&EllMatrix::from_coo(coo), cfg)
     }
 
     /// Reassembles from previously validated parts (deserialization).
@@ -132,65 +148,56 @@ impl<T: Scalar, W: Symbol> BroEll<T, W> {
         BroEll { rows, cols, nnz, ell_width, slice_height, slices }
     }
 
-    fn compress_slice(
-        ell: &EllMatrix<T>,
-        row0: usize,
-        height: usize,
+    fn encode_slice(
+        coo: &CooMatrix<T>,
+        offsets: &[usize],
+        rows: Range<usize>,
+        cap: usize,
         forced_width: Option<u8>,
     ) -> BroEllSlice<T, W> {
-        // Slice length: the longest row within the slice.
-        let num_cols = (row0..row0 + height).map(|r| ell.row_len(r)).max().unwrap_or(0);
-
-        // Delta-encode each row, padded to the slice length.
-        let delta_rows: Vec<Vec<u64>> = (row0..row0 + height)
-            .map(|r| {
-                let cols = ell.row_cols(r);
-                delta_encode_row(&cols, num_cols - cols.len())
-                    .expect("ELLPACK rows have strictly increasing columns")
+        let height = rows.len();
+        let entries = |r: usize| offsets[r]..offsets[r + 1].min(offsets[r].saturating_add(cap));
+        let (col_idx, values) = (coo.col_indices(), coo.values());
+        // Row `r`'s deltas `c_j − c_{j−1}`, with `c_{−1} = −1`.
+        let deltas = |r: usize| {
+            let mut next = 0u64; // previous column + 1
+            col_idx[entries(r)].iter().map(move |&c| {
+                let d = c as u64 + 1 - next;
+                next = c as u64 + 1;
+                d
             })
-            .collect();
+        };
 
-        // Per-column bit allocation.
+        // Pass 1: the slice length and the per-column bit allocation, the
+        // widest delta of each column. Padding deltas are 0 and need no bits.
+        let num_cols = rows.clone().map(|r| entries(r).len()).max().unwrap_or(0);
         let floor = forced_width.unwrap_or(0).min(W::BITS as u8);
         let mut bit_alloc = vec![floor; num_cols];
-        for row in &delta_rows {
-            for (j, &d) in row.iter().enumerate() {
-                bit_alloc[j] = bit_alloc[j].max(bits_for(d) as u8);
+        for r in rows.clone() {
+            for (b, d) in bit_alloc.iter_mut().zip(deltas(r)) {
+                *b = (*b).max(bits_for(d) as u8);
             }
         }
         debug_assert!(
             bit_alloc.iter().all(|&b| (b as u32) <= W::BITS),
             "a delta cannot need more bits than the symbol width for u32 indices"
         );
-
         let row_bits: u32 = bit_alloc.iter().map(|&b| b as u32).sum();
-        let pad_bits = (W::BITS - row_bits % W::BITS) % W::BITS;
+        let syms_per_row = row_bits.div_ceil(W::BITS) as usize;
+        let pad_bits = syms_per_row as u32 * W::BITS - row_bits;
 
-        // Pack and multiplex.
-        let bitstrings: Vec<_> = delta_rows
-            .iter()
-            .map(|row| {
-                let mut w = BitWriter::<W>::new();
-                for (j, &d) in row.iter().enumerate() {
-                    w.write(d, bit_alloc[j] as u32);
-                }
-                let mut s = w.finish();
-                // The writer already emitted the final partial symbol;
-                // padding only rounds the bit length up to that boundary.
-                s.pad_to_symbol();
-                debug_assert_eq!(s.words.len() * W::BITS as usize, s.len_bits);
-                s
-            })
-            .collect();
-        let stream = multiplex(&bitstrings).expect("rows padded to equal symbol counts");
-        let syms_per_row = stream.len().checked_div(height).unwrap_or(0);
-
-        // Sliced column-major values.
-        let mut vals = vec![T::ZERO; height * num_cols];
-        for (i, r) in (row0..row0 + height).enumerate() {
-            for j in 0..ell.row_len(r) {
-                vals[j * height + i] = ell.val_at(r, j);
+        // Pass 2: each row's deltas go straight to their multiplexed slots,
+        // symbol `c` of row `i` at `stream[c·height + i]`, and its values to
+        // `vals[j·height + i]`. Padding stays zero.
+        let mut stream = vec![W::ZERO; syms_per_row * height];
+        let mut vals = vec![T::ZERO; num_cols * height];
+        for (i, r) in rows.enumerate() {
+            let mut out = StridedWriter::new(&mut stream, i, height);
+            for (j, (d, e)) in deltas(r).zip(entries(r)).enumerate() {
+                out.write(d, bit_alloc[j] as u32);
+                vals[j * height + i] = values[e];
             }
+            out.finish();
         }
 
         BroEllSlice { height, num_cols, bit_alloc, pad_bits, syms_per_row, stream, vals }
@@ -373,10 +380,8 @@ mod tests {
     #[test]
     fn u64_symbols_round_trip() {
         let coo = paper_matrix();
-        let bro: BroEll<f64, u64> = BroEll::compress(
-            &EllMatrix::from_coo(&coo),
-            &BroEllConfig { slice_height: 3, ..Default::default() },
-        );
+        let bro: BroEll<f64, u64> =
+            BroEll::from_coo(&coo, &BroEllConfig { slice_height: 3, ..Default::default() });
         assert_eq!(bro.decompress(), coo);
     }
 

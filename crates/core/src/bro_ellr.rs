@@ -9,7 +9,7 @@
 //! compression. An ablation in the bench suite quantifies the gain.
 
 use bro_bitstream::Symbol;
-use bro_matrix::{CooMatrix, EllMatrix, Scalar};
+use bro_matrix::{CooMatrix, Scalar};
 
 use crate::analysis::SpaceSavings;
 use crate::bro_ell::{BroEll, BroEllConfig};
@@ -24,10 +24,7 @@ pub struct BroEllR<T: Scalar, W: Symbol = u32> {
 impl<T: Scalar, W: Symbol> BroEllR<T, W> {
     /// Compresses from COO.
     pub fn from_coo(coo: &CooMatrix<T>, cfg: &BroEllConfig) -> Self {
-        BroEllR {
-            bro: BroEll::compress(&EllMatrix::from_coo(coo), cfg),
-            row_lengths: coo.row_lengths(),
-        }
+        BroEllR { bro: BroEll::from_coo(coo, cfg), row_lengths: coo.row_lengths() }
     }
 
     /// The underlying BRO-ELL representation.

@@ -26,7 +26,6 @@ pub struct BroHybConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct BroHyb<T: Scalar, W: Symbol = u32> {
     split_k: usize,
-    ell_nnz: usize,
     ell: BroEll<T, W>,
     coo: BroCoo<T, W>,
 }
@@ -35,13 +34,11 @@ impl<T: Scalar, W: Symbol> BroHyb<T, W> {
     /// Compresses from COO.
     pub fn from_coo(coo: &CooMatrix<T>, cfg: &BroHybConfig) -> Self {
         let k = cfg.split_k.unwrap_or_else(|| HybMatrix::<T>::split_width(&coo.row_lengths()));
-        let (ell_part, coo_part) = coo.split_at_row_width(k);
-        BroHyb {
-            split_k: k,
-            ell_nnz: ell_part.nnz(),
-            ell: BroEll::from_coo(&ell_part, &cfg.ell),
-            coo: BroCoo::compress(&coo_part, &cfg.coo),
-        }
+        let offsets = coo.row_offsets();
+        let ell = BroEll::encode(coo, &offsets, k, &cfg.ell);
+        let (row_idx, col_idx, vals) = coo.entries_past_width(&offsets, k);
+        let coo = BroCoo::encode(coo.rows(), coo.cols(), &row_idx, col_idx, vals, &cfg.coo);
+        BroHyb { split_k: k, ell, coo }
     }
 
     /// The BRO-ELL part.
@@ -71,7 +68,7 @@ impl<T: Scalar, W: Symbol> BroHyb<T, W> {
 
     /// Total stored non-zeros.
     pub fn nnz(&self) -> usize {
-        self.ell_nnz + self.coo.nnz()
+        self.ell.nnz() + self.coo.nnz()
     }
 
     /// Fraction of non-zeros in the BRO-ELL part (the "% BRO-ELL" column of
@@ -80,7 +77,7 @@ impl<T: Scalar, W: Symbol> BroHyb<T, W> {
         if self.nnz() == 0 {
             0.0
         } else {
-            self.ell_nnz as f64 / self.nnz() as f64
+            self.ell.nnz() as f64 / self.nnz() as f64
         }
     }
 

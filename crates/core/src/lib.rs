@@ -27,6 +27,8 @@ pub mod bro_coo;
 pub mod bro_ell;
 pub mod bro_ellr;
 pub mod bro_hyb;
+#[cfg(test)]
+mod oracle;
 pub mod reorder;
 pub mod serialize;
 pub mod values;

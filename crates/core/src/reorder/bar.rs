@@ -302,13 +302,7 @@ pub fn bar_order<T: Scalar>(a: &CooMatrix<T>, cfg: &BarConfig) -> (Permutation, 
 
     // Per-nonzero delta bit widths and x cachelines, row-major; row r is
     // `ptr[r]..ptr[r + 1]`.
-    let mut ptr = vec![0usize; m + 1];
-    for &r in a.row_indices() {
-        ptr[r as usize + 1] += 1;
-    }
-    for r in 0..m {
-        ptr[r + 1] += ptr[r];
-    }
+    let ptr = a.row_offsets();
     let mut bits = Vec::with_capacity(a.nnz());
     let mut lines = Vec::with_capacity(a.nnz());
     for r in 0..m {
@@ -375,7 +369,6 @@ mod oracle;
 mod tests {
     use super::*;
     use bro_matrix::generate::{GeneratorSpec, PlacementModel, RowLengthModel};
-    use bro_matrix::EllMatrix;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use std::collections::BTreeSet;
@@ -431,9 +424,8 @@ mod tests {
         let (p, _) = bar_order(&a, &cfg);
         // After reordering, compression should not be worse.
         let ell_cfg = BroEllConfig { slice_height: 4, ..Default::default() };
-        let before: BroEll<f64> = BroEll::compress(&EllMatrix::from_coo(&a), &ell_cfg);
-        let after: BroEll<f64> =
-            BroEll::compress(&EllMatrix::from_coo(&p.apply_rows(&a)), &ell_cfg);
+        let before: BroEll<f64> = BroEll::from_coo(&a, &ell_cfg);
+        let after: BroEll<f64> = BroEll::from_coo(&p.apply_rows(&a), &ell_cfg);
         assert!(
             after.space_savings().compressed_bytes <= before.space_savings().compressed_bytes,
             "BAR must not hurt compression on a clusterable matrix: {} vs {}",

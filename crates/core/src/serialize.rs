@@ -492,8 +492,7 @@ mod tests {
     #[test]
     fn bro_ell_round_trip_u64_symbols() {
         let coo = matrix();
-        let ell = bro_matrix::EllMatrix::from_coo(&coo);
-        let bro: BroEll<f64, u64> = BroEll::compress(&ell, &BroEllConfig::default());
+        let bro: BroEll<f64, u64> = BroEll::from_coo(&coo, &BroEllConfig::default());
         let mut buf = Vec::new();
         write_bro_ell(&bro, &mut buf).unwrap();
         let back: BroEll<f64, u64> = read_bro_ell(&mut &buf[..]).unwrap();

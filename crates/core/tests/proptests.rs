@@ -44,8 +44,7 @@ proptest! {
 
     #[test]
     fn bro_ell_lossless_u64_symbols(coo in arb_coo(), h in 1usize..12) {
-        let ell = bro_matrix::EllMatrix::from_coo(&coo);
-        let bro: BroEll<f64, u64> = BroEll::compress(&ell, &BroEllConfig { slice_height: h, ..Default::default() });
+        let bro: BroEll<f64, u64> = BroEll::from_coo(&coo, &BroEllConfig { slice_height: h, ..Default::default() });
         prop_assert_eq!(bro.decompress(), coo);
     }
 

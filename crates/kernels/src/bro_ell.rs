@@ -221,9 +221,8 @@ mod tests {
     #[test]
     fn matches_reference_with_u64_symbols() {
         let coo = bro_matrix::generate::laplacian_2d::<f64>(20);
-        let ell = EllMatrix::from_coo(&coo);
         let bro: BroEll<f64, u64> =
-            BroEll::compress(&ell, &BroEllConfig { slice_height: 64, ..Default::default() });
+            BroEll::from_coo(&coo, &BroEllConfig { slice_height: 64, ..Default::default() });
         let x: Vec<f64> = (0..400).map(|i| (i as f64).sin() + 2.0).collect();
         let y = bro_ell_spmv(&mut sim(), &bro, &x);
         assert_vec_approx_eq(&y, &CsrMatrix::from_coo(&coo).spmv(&x).unwrap(), 1e-12);

@@ -160,34 +160,40 @@ impl<T: Scalar> CooMatrix<T> {
         lens
     }
 
+    /// The CSR row offsets: `rows + 1` entries, row `r` is the entry range
+    /// `offsets[r]..offsets[r + 1]`.
+    pub fn row_offsets(&self) -> Vec<usize> {
+        let mut offsets = vec![0usize; self.rows + 1];
+        for &r in &self.row_idx {
+            offsets[r as usize + 1] += 1;
+        }
+        for r in 0..self.rows {
+            offsets[r + 1] += offsets[r];
+        }
+        offsets
+    }
+
+    /// The entries past the first `k` of each row, as exactly sized
+    /// row-major `(rows, cols, values)` arrays; `offsets` are this matrix's
+    /// [`row_offsets`](Self::row_offsets). This is the COO tail of the HYB
+    /// partition.
+    pub fn entries_past_width(&self, offsets: &[usize], k: usize) -> (Vec<u32>, Vec<u32>, Vec<T>) {
+        let tail = |r: usize| offsets[r].saturating_add(k).min(offsets[r + 1])..offsets[r + 1];
+        let n = (0..self.rows).map(|r| tail(r).len()).sum();
+        let (mut rows, mut cols, mut vals) =
+            (Vec::with_capacity(n), Vec::with_capacity(n), Vec::with_capacity(n));
+        for r in 0..self.rows {
+            let run = tail(r);
+            rows.resize(rows.len() + run.len(), r as u32);
+            cols.extend_from_slice(&self.col_idx[run.clone()]);
+            vals.extend_from_slice(&self.vals[run]);
+        }
+        (rows, cols, vals)
+    }
+
     /// Row-length and shape statistics (Table 2 of the paper).
     pub fn stats(&self) -> MatrixStats {
         MatrixStats::from_row_lengths(self.rows, self.cols, &self.row_lengths())
-    }
-
-    /// Splits entries by a per-row width threshold: entries that are among
-    /// the first `k` of their row go left, the rest go right. This is the
-    /// primitive under the HYB partition.
-    pub fn split_at_row_width(&self, k: usize) -> (CooMatrix<T>, CooMatrix<T>) {
-        let mut in_row = 0usize;
-        let mut prev_row = u32::MAX;
-        let mut left = (Vec::new(), Vec::new(), Vec::new());
-        let mut right = (Vec::new(), Vec::new(), Vec::new());
-        for (r, c, v) in self.iter() {
-            if r != prev_row {
-                prev_row = r;
-                in_row = 0;
-            }
-            let target = if in_row < k { &mut left } else { &mut right };
-            target.0.push(r);
-            target.1.push(c);
-            target.2.push(v);
-            in_row += 1;
-        }
-        (
-            CooMatrix::from_sorted_parts(self.rows, self.cols, left.0, left.1, left.2),
-            CooMatrix::from_sorted_parts(self.rows, self.cols, right.0, right.1, right.2),
-        )
     }
 
     /// Dense reference product `y = A·x` computed entry by entry. Used only
@@ -496,28 +502,13 @@ mod tests {
     }
 
     #[test]
-    fn split_matches_paper_hyb_example() {
-        // The paper splits A at k = 3: ELL part keeps the first 3 entries of
-        // each row; COO part holds row 1's entries at columns 3 and 4.
+    fn row_offsets_match_paper_example() {
         let a = paper_matrix();
-        let (ell, coo) = a.split_at_row_width(3);
-        assert_eq!(ell.nnz(), 10);
-        assert_eq!(coo.nnz(), 2);
-        assert_eq!(coo.row_indices(), &[1, 1]);
-        assert_eq!(coo.col_indices(), &[3, 4]);
-        assert_eq!(coo.values(), &[4.0, 1.0]);
-    }
-
-    #[test]
-    fn split_preserves_spmv() {
-        let a = paper_matrix();
-        let x: Vec<f64> = (0..5).map(|i| i as f64 + 0.5).collect();
-        let y = a.spmv_reference(&x).unwrap();
-        let (l, r) = a.split_at_row_width(2);
-        let yl = l.spmv_reference(&x).unwrap();
-        let yr = r.spmv_reference(&x).unwrap();
-        let sum: Vec<f64> = yl.iter().zip(&yr).map(|(a, b)| a + b).collect();
-        assert_eq!(sum, y);
+        assert_eq!(a.row_offsets(), vec![0, 2, 7, 10, 12]);
+        // Empty rows repeat an offset; an empty matrix is all zeros.
+        let b = CooMatrix::from_triplets(4, 4, &[0, 3], &[1, 2], &[1.0, 2.0]).unwrap();
+        assert_eq!(b.row_offsets(), vec![0, 1, 1, 1, 2]);
+        assert_eq!(CooMatrix::<f64>::zeros(2, 2).row_offsets(), vec![0, 0, 0]);
     }
 
     #[test]

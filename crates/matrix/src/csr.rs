@@ -22,18 +22,10 @@ pub struct CsrMatrix<T: Scalar> {
 impl<T: Scalar> CsrMatrix<T> {
     /// Converts from COO (already sorted row-major).
     pub fn from_coo(coo: &CooMatrix<T>) -> Self {
-        let rows = coo.rows();
-        let mut row_ptr = vec![0usize; rows + 1];
-        for &r in coo.row_indices() {
-            row_ptr[r as usize + 1] += 1;
-        }
-        for i in 0..rows {
-            row_ptr[i + 1] += row_ptr[i];
-        }
         CsrMatrix {
-            rows,
+            rows: coo.rows(),
             cols: coo.cols(),
-            row_ptr,
+            row_ptr: coo.row_offsets(),
             col_idx: coo.col_indices().to_vec(),
             vals: coo.values().to_vec(),
         }

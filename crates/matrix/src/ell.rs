@@ -33,21 +33,28 @@ pub struct EllMatrix<T: Scalar> {
 impl<T: Scalar> EllMatrix<T> {
     /// Converts from COO, padding every row to the maximum row length.
     pub fn from_coo(coo: &CooMatrix<T>) -> Self {
+        Self::from_coo_capped(coo, &coo.row_offsets(), usize::MAX)
+    }
+
+    /// Packs the first `cap` entries of every row of `coo`, whose
+    /// [`CooMatrix::row_offsets`] are `offsets`. HYB's ELL part is
+    /// `cap = k`.
+    pub(crate) fn from_coo_capped(coo: &CooMatrix<T>, offsets: &[usize], cap: usize) -> Self {
         let rows = coo.rows();
         let stride = rows.div_ceil(32) * 32;
-        let lens = coo.row_lengths();
-        let k = lens.iter().copied().max().unwrap_or(0) as usize;
+        let entries = |r: usize| offsets[r]..offsets[r + 1].min(offsets[r].saturating_add(cap));
+        let k = (0..rows).map(|r| entries(r).len()).max().unwrap_or(0);
         let mut col_idx = vec![INVALID_INDEX; stride * k];
         let mut vals = vec![T::ZERO; stride * k];
-        let mut fill = vec![0usize; rows];
-        for (r, c, v) in coo.iter() {
-            let r = r as usize;
-            let j = fill[r];
-            col_idx[j * stride + r] = c;
-            vals[j * stride + r] = v;
-            fill[r] = j + 1;
+        let mut nnz = 0;
+        for r in 0..rows {
+            for (j, e) in entries(r).enumerate() {
+                col_idx[j * stride + r] = coo.col_indices()[e];
+                vals[j * stride + r] = coo.values()[e];
+            }
+            nnz += entries(r).len();
         }
-        EllMatrix { rows, cols: coo.cols(), k, stride, col_idx, vals, nnz: coo.nnz() }
+        EllMatrix { rows, cols: coo.cols(), k, stride, col_idx, vals, nnz }
     }
 
     /// Leading dimension of the column-major arrays (rows padded to a
@@ -104,16 +111,6 @@ impl<T: Scalar> EllMatrix<T> {
     #[inline]
     pub fn flat_index(&self, r: usize, j: usize) -> usize {
         j * self.stride + r
-    }
-
-    /// The column indices of row `r` without padding.
-    pub fn row_cols(&self, r: usize) -> Vec<u32> {
-        (0..self.k).map(|j| self.col_at(r, j)).take_while(|&c| c != INVALID_INDEX).collect()
-    }
-
-    /// The length of row `r` (number of valid entries).
-    pub fn row_len(&self, r: usize) -> usize {
-        (0..self.k).take_while(|&j| self.col_at(r, j) != INVALID_INDEX).count()
     }
 
     /// Converts back to COO, dropping padding.
@@ -180,14 +177,6 @@ mod tests {
                 assert_eq!(ell.col_idx_raw()[ell.flat_index(r, j)], ell.col_at(r, j));
             }
         }
-    }
-
-    #[test]
-    fn row_cols_and_len() {
-        let ell = EllMatrix::from_coo(&paper_matrix());
-        assert_eq!(ell.row_cols(2), vec![1, 2, 4]);
-        assert_eq!(ell.row_len(1), 5);
-        assert_eq!(ell.row_len(3), 2);
     }
 
     #[test]

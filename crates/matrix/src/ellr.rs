@@ -55,6 +55,7 @@ impl<T: Scalar> EllRMatrix<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ell::INVALID_INDEX;
 
     fn paper_matrix() -> CooMatrix<f64> {
         CooMatrix::from_triplets(
@@ -77,8 +78,10 @@ mod tests {
     #[test]
     fn row_lengths_consistent_with_ell() {
         let ellr = EllRMatrix::from_coo(&paper_matrix());
+        let ell = ellr.ell();
         for r in 0..ellr.rows() {
-            assert_eq!(ellr.row_lengths()[r] as usize, ellr.ell().row_len(r));
+            let len = (0..ell.width()).take_while(|&j| ell.col_at(r, j) != INVALID_INDEX).count();
+            assert_eq!(ellr.row_lengths()[r] as usize, len);
         }
     }
 

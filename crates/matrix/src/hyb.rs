@@ -31,8 +31,13 @@ impl<T: Scalar> HybMatrix<T> {
     /// Splits at an explicit width `k` (used by tests and by BRO-HYB, which
     /// must partition identically to HYB for a fair comparison).
     pub fn from_coo_with_width(coo: &CooMatrix<T>, k: usize) -> Self {
-        let (left, right) = coo.split_at_row_width(k);
-        HybMatrix { ell: EllMatrix::from_coo(&left), coo: right, split_k: k }
+        let offsets = coo.row_offsets();
+        let (rows, cols, vals) = coo.entries_past_width(&offsets, k);
+        HybMatrix {
+            ell: EllMatrix::from_coo_capped(coo, &offsets, k),
+            coo: CooMatrix::from_sorted_parts(coo.rows(), coo.cols(), rows, cols, vals),
+            split_k: k,
+        }
     }
 
     /// The cusp `compute_optimal_entries_per_row` heuristic from the paper:
@@ -140,6 +145,8 @@ mod tests {
         assert_eq!(hyb.coo().nnz(), 2);
         assert_eq!(hyb.coo().row_indices(), &[1, 1]);
         assert_eq!(hyb.coo().col_indices(), &[3, 4]);
+        assert_eq!(hyb.coo().values(), &[4.0, 1.0]);
+        assert_eq!(hyb.ell().nnz(), 10);
     }
 
     #[test]
@@ -172,6 +179,18 @@ mod tests {
         let hyb = HybMatrix::from_coo_with_width(&coo, 2);
         assert_eq!(hyb.to_coo(), coo);
         assert_eq!(hyb.nnz(), coo.nnz());
+    }
+
+    #[test]
+    fn split_preserves_spmv() {
+        let a = paper_matrix();
+        let x: Vec<f64> = (0..5).map(|i| i as f64 + 0.5).collect();
+        let y = a.spmv_reference(&x).unwrap();
+        let hyb = HybMatrix::from_coo_with_width(&a, 2);
+        let yl = hyb.ell().to_coo().spmv_reference(&x).unwrap();
+        let yr = hyb.coo().spmv_reference(&x).unwrap();
+        let sum: Vec<f64> = yl.iter().zip(&yr).map(|(a, b)| a + b).collect();
+        assert_eq!(sum, y);
     }
 
     #[test]

@@ -81,13 +81,7 @@ impl Permutation {
     /// runs copied whole in the new row order: already sorted, in O(nnz).
     pub fn apply_rows<T: Scalar>(&self, a: &CooMatrix<T>) -> CooMatrix<T> {
         assert_eq!(self.len(), a.rows(), "permutation size must match row count");
-        let mut start = vec![0usize; a.rows() + 1];
-        for &r in a.row_indices() {
-            start[r as usize + 1] += 1;
-        }
-        for r in 0..a.rows() {
-            start[r + 1] += start[r];
-        }
+        let start = a.row_offsets();
         let mut rows = Vec::with_capacity(a.nnz());
         let mut cols = Vec::with_capacity(a.nnz());
         let mut vals = Vec::with_capacity(a.nnz());

@@ -37,20 +37,20 @@ impl<T: Scalar> SlicedEllMatrix<T> {
     pub fn from_coo(coo: &CooMatrix<T>, slice_height: usize) -> Self {
         assert!(slice_height > 0, "slice height must be positive");
         let m = coo.rows();
-        let lens = coo.row_lengths();
+        let offsets = coo.row_offsets();
+        let entries = |r: usize| offsets[r]..offsets[r + 1];
         let n_slices = m.div_ceil(slice_height);
         let mut slices = Vec::with_capacity(n_slices);
         for s in 0..n_slices {
             let row0 = s * slice_height;
             let height = (m - row0).min(slice_height);
-            let width = (row0..row0 + height).map(|r| lens[r] as usize).max().unwrap_or(0);
+            let width = (row0..row0 + height).map(|r| entries(r).len()).max().unwrap_or(0);
             let mut col_idx = vec![INVALID_INDEX; height * width];
             let mut vals = vec![T::ZERO; height * width];
             for (i, r) in (row0..row0 + height).enumerate() {
-                let (cols, values) = coo.row(r as u32);
-                for (j, (&c, &v)) in cols.iter().zip(values).enumerate() {
-                    col_idx[j * height + i] = c;
-                    vals[j * height + i] = v;
+                for (j, e) in entries(r).enumerate() {
+                    col_idx[j * height + i] = coo.col_indices()[e];
+                    vals[j * height + i] = coo.values()[e];
                 }
             }
             slices.push(SlicedEllSlice { height, width, col_idx, vals });

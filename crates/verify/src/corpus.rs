@@ -292,6 +292,68 @@ mod tests {
         }
     }
 
+    /// One seeded edit of a corpus file: a bit flip, a cut, a dropped
+    /// byte, an inserted digit or separator, or a span copied elsewhere.
+    fn mutate(bytes: &mut Vec<u8>, rng: &mut rand_chacha::ChaCha8Rng) {
+        use rand::Rng;
+        let at = rng.gen_range(0..bytes.len() + 1);
+        match rng.gen_range(0..5) {
+            0 if at < bytes.len() => bytes[at] ^= 1 << rng.gen_range(0..8u32),
+            1 => bytes.truncate(at),
+            2 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            3 => {
+                let pick = b"0179 \n-.e";
+                bytes.insert(at, pick[rng.gen_range(0..pick.len())]);
+            }
+            _ => {
+                let from = rng.gen_range(0..bytes.len() + 1);
+                let len = rng.gen_range(0..32usize).min(bytes.len() - from);
+                let piece = bytes[from..from + len].to_vec();
+                bytes.splice(at..at, piece);
+            }
+        }
+    }
+
+    /// Seeded mutations of the committed regression corpus: reading returns
+    /// `Err`, or a case that every kernel replays within tolerance. It never
+    /// panics.
+    #[test]
+    fn mutated_corpus_files_read_to_err_or_replay_clean() {
+        use rand::{Rng, SeedableRng};
+        let dir = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus"));
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == "corpus"))
+            .collect();
+        files.sort();
+        let texts: Vec<Vec<u8>> = files.iter().map(|p| std::fs::read(p).unwrap()).collect();
+        assert!(!texts.is_empty());
+        let (mut replayed, mut rejected) = (0, 0);
+        for seed in 0..2000u64 {
+            let file = seed as usize % texts.len();
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let mut bytes = texts[file].clone();
+            for _ in 0..rng.gen_range(1..3usize) {
+                mutate(&mut bytes, &mut rng);
+            }
+            match CorpusCase::read_from(&mut &bytes[..]) {
+                Ok(case) => {
+                    let tol = crate::Tolerance::default();
+                    if let Some((format, m)) = crate::replay(&case, crate::kernels(), &tol) {
+                        panic!("seed {seed} ({}): {format}: {m}", files[file].display());
+                    }
+                    replayed += 1;
+                }
+                Err(_) => rejected += 1,
+            }
+        }
+        // Both outcomes occur, so the oracle is not vacuous.
+        assert!(replayed > 50 && rejected > 50, "replayed {replayed}, rejected {rejected}");
+    }
+
     #[test]
     fn load_dir_missing_is_empty() {
         let cases = load_dir(Path::new("/nonexistent/bro-verify-corpus")).unwrap();

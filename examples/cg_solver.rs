@@ -34,7 +34,7 @@ fn main() {
 
     // Simulated-GPU solve with BRO-ELL SpMV; the simulator accumulates
     // traffic and timing across all iterations.
-    let bro: BroEll<f64> = BroEll::compress(&EllMatrix::from_coo(&a), &BroEllConfig::default());
+    let bro: BroEll<f64> = BroEll::from_coo(&a, &BroEllConfig::default());
     let mut sim = DeviceSim::new(DeviceProfile::tesla_k20());
     sim.reset_stats();
     let mut spmv_calls = 0usize;

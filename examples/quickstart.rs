@@ -18,7 +18,7 @@ fn main() {
 
     // Offline (host-side) compression into BRO-ELL.
     let ell = EllMatrix::from_coo(&a);
-    let bro: BroEll<f64> = BroEll::compress(&ell, &BroEllConfig::default());
+    let bro: BroEll<f64> = BroEll::from_coo(&a, &BroEllConfig::default());
     let savings = bro.space_savings();
     println!(
         "index compression: {} -> {} bytes (eta = {:.1}%, kappa = {:.2}x)",

@@ -12,7 +12,7 @@ use bro_spmv::matrix::suite;
 use bro_spmv::prelude::*;
 
 fn measure(name: &str, a: &CooMatrix<f64>, x: &[f64]) {
-    let bro: BroEll<f64> = BroEll::compress(&EllMatrix::from_coo(a), &BroEllConfig::default());
+    let bro: BroEll<f64> = BroEll::from_coo(a, &BroEllConfig::default());
     let mut sim = DeviceSim::new(DeviceProfile::tesla_k20());
     let y = bro_ell_spmv(&mut sim, &bro, x);
     std::hint::black_box(y);

@@ -38,7 +38,7 @@
 //! `<matrix>` is a `.mtx` MatrixMarket file or the name of a suite matrix
 //! (generated at `--scale`, default 0.1). `D` ∈ {c2070, gtx680, k20}.
 
-use bro_bench::cli::{die, effective_threads, flag_value, install_threads, parse_flag};
+use bro_bench::cli::{die, die_usage, effective_threads, flag_value, install_threads, parse_flag};
 use bro_spmv::core::{
     analyze_value_compression, write_bro_coo, write_bro_ell, BroCoo, BroCooConfig,
 };
@@ -68,7 +68,19 @@ struct Args {
     out_set: bool,
 }
 
-fn parse_args(raw: &[String]) -> Args {
+/// The most positional arguments `cmd` takes.
+fn max_positionals(cmd: &str) -> usize {
+    match cmd {
+        "compress" => 2,
+        "suite" | "verify" => 0,
+        _ => 1,
+    }
+}
+
+/// Parses the arguments after the subcommand `cmd`. An unknown flag or a
+/// positional argument past what `cmd` takes is an error; a malformed flag
+/// value exits 2 at once.
+fn parse_args(cmd: &str, raw: &[String]) -> Result<Args, String> {
     let mut a = Args {
         positional: Vec::new(),
         device: DeviceProfile::tesla_k20(),
@@ -142,10 +154,14 @@ fn parse_args(raw: &[String]) -> Args {
                 a.out_dir = flag_value(&mut it, "--out").into();
                 a.out_set = true;
             }
+            flag if flag.starts_with('-') => return Err(format!("unknown flag '{flag}'")),
             other => a.positional.push(other.to_string()),
         }
     }
-    a
+    if let Some(extra) = a.positional.get(max_positionals(cmd)) {
+        return Err(format!("unexpected argument '{extra}' for {cmd}"));
+    }
+    Ok(a)
 }
 
 fn load_matrix(name: &str, scale: f64) -> CooMatrix<f64> {
@@ -360,9 +376,6 @@ fn cmd_suite() {
 }
 
 fn cmd_verify(a: &Args) {
-    if let Some(arg) = a.positional.first() {
-        die(&format!("verify takes no argument '{arg}' (UPDATE_GOLDEN=1 re-blesses the goldens)"));
-    }
     let t0 = std::time::Instant::now();
     let mut failed = false;
     println!("verify: {} worker thread(s)", effective_threads());
@@ -566,7 +579,7 @@ fn main() {
         eprintln!("{USAGE}");
         std::process::exit(2);
     };
-    let args = parse_args(&raw[1..]);
+    let args = parse_args(&cmd, &raw[1..]).unwrap_or_else(|e| die_usage(&e, USAGE));
     install_threads(args.threads);
     match cmd.as_str() {
         "info" => cmd_info(&args),
@@ -589,7 +602,7 @@ mod tests {
 
     #[test]
     fn parse_args_defaults() {
-        let a = parse_args(&[]);
+        let a = parse_args("suite", &[]).unwrap();
         assert_eq!(a.scale, 0.1);
         assert_eq!(a.device.name, "Tesla K20");
         assert!(!a.coo_format);
@@ -608,7 +621,7 @@ mod tests {
                 .iter()
                 .map(|s| s.to_string())
                 .collect();
-        let a = parse_args(&raw);
+        let a = parse_args("partition", &raw).unwrap();
         assert_eq!(a.devices, 8);
         assert_eq!(a.link.name, "NVLink");
         assert_eq!(a.format, "ell");
@@ -622,7 +635,7 @@ mod tests {
                 .iter()
                 .map(|s| s.to_string())
                 .collect();
-        let a = parse_args(&raw);
+        let a = parse_args("solve", &raw).unwrap();
         assert_eq!(a.positional, vec!["m.mtx"]);
         assert_eq!(a.device.name, "Tesla C2070");
         assert_eq!(a.scale, 0.5);
@@ -637,7 +650,7 @@ mod tests {
                 .iter()
                 .map(|s| s.to_string())
                 .collect();
-        let a = parse_args(&raw);
+        let a = parse_args("verify", &raw).unwrap();
         assert_eq!(a.iters, 3);
         assert_eq!(a.seed, 1);
         assert_eq!(a.threads, 0);
@@ -652,9 +665,28 @@ mod tests {
     fn parse_args_seed_and_threads() {
         let raw: Vec<String> =
             ["--seed", "42", "--threads", "2"].iter().map(|s| s.to_string()).collect();
-        let a = parse_args(&raw);
+        let a = parse_args("verify", &raw).unwrap();
         assert_eq!(a.seed, 42);
         assert_eq!(a.threads, 2);
+    }
+
+    #[test]
+    fn parse_args_rejects_unknown_flags_and_surplus_arguments() {
+        let parse = |cmd: &str, raw: &[&str]| {
+            parse_args(cmd, &raw.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+        };
+        assert_eq!(parse("suite", &["--bogus-flag"]).err().unwrap(), "unknown flag '--bogus-flag'");
+        assert!(parse("info", &["epb3", "--scale", "0.01", "--nonsense"]).is_err());
+        assert!(parse("info", &["epb3", "-x"]).is_err());
+        assert_eq!(
+            parse("info", &["epb3", "cant"]).err().unwrap(),
+            "unexpected argument 'cant' for info"
+        );
+        assert!(parse("suite", &["epb3"]).is_err());
+        assert!(parse("verify", &["update"]).is_err());
+        assert!(parse("compress", &["epb3", "a.bro", "b.bro"]).is_err());
+        assert_eq!(parse("compress", &["epb3", "a.bro", "--coo"]).unwrap().positional.len(), 2);
+        assert!(parse("trace", &["epb3", "--format", "ell"]).is_ok());
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //!     &[0, 2, 0, 1, 2, 3, 4, 1, 2, 4, 3, 4],
 //!     &[3.0, 2.0, 2.0, 6.0, 5.0, 4.0, 1.0, 1.0, 9.0, 7.0, 8.0, 3.0],
 //! ).unwrap();
-//! let bro: BroEll<f64> = BroEll::compress(&EllMatrix::from_coo(&coo), &BroEllConfig::default());
+//! let bro: BroEll<f64> = BroEll::from_coo(&coo, &BroEllConfig::default());
 //! let x = vec![1.0; 5];
 //! let mut gpu = DeviceSim::new(DeviceProfile::tesla_k20());
 //! let y = bro_ell_spmv(&mut gpu, &bro, &x);

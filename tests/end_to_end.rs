@@ -34,7 +34,7 @@ fn all_formats_agree_on_suite_matrix() {
     let hyb = HybMatrix::from_coo(&a);
     assert_vec_approx_eq(&hyb_spmv(&mut sim, &hyb, &x), &reference, 1e-9);
 
-    let bro_ell: BroEll<f64> = BroEll::compress(&ell, &BroEllConfig::default());
+    let bro_ell: BroEll<f64> = BroEll::from_coo(&a, &BroEllConfig::default());
     assert_vec_approx_eq(&bro_ell_spmv(&mut sim, &bro_ell, &x), &reference, 1e-10);
 
     let bro_coo: BroCoo<f64> = BroCoo::compress(&a, &BroCooConfig::default());
@@ -80,7 +80,7 @@ fn bro_ell_beats_ellpack_on_fem_matrix() {
     let x = input(a.cols());
     let flops = 2 * a.nnz() as u64;
     let ell = EllMatrix::from_coo(&a);
-    let bro: BroEll<f64> = BroEll::compress(&ell, &BroEllConfig::default());
+    let bro: BroEll<f64> = BroEll::from_coo(&a, &BroEllConfig::default());
     assert!(bro.space_savings().eta() > 0.7, "FEM matrix must compress well");
 
     for profile in DeviceProfile::evaluation_set() {
