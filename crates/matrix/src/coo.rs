@@ -512,6 +512,23 @@ mod tests {
     }
 
     #[test]
+    fn split_matches_paper_hyb_example() {
+        // The paper splits A at k = 3: ELL part keeps the first 3 entries of
+        // each row; COO part holds row 1's entries at columns 3 and 4.
+        let a = paper_matrix();
+        let (rows, cols, vals) = a.entries_past_width(&a.row_offsets(), 3);
+        assert_eq!(a.nnz() - rows.len(), 10);
+        assert_eq!(rows, &[1, 1]);
+        assert_eq!(cols, &[3, 4]);
+        assert_eq!(vals, &[4.0, 1.0]);
+        // k = 0 keeps nothing in ELL; a width past every row keeps no tail.
+        let (all, _, _) = a.entries_past_width(&a.row_offsets(), 0);
+        assert_eq!(all, a.row_indices());
+        let (none, _, _) = a.entries_past_width(&a.row_offsets(), usize::MAX);
+        assert!(none.is_empty());
+    }
+
+    #[test]
     fn empty_matrix() {
         let a = CooMatrix::<f64>::zeros(3, 3);
         assert_eq!(a.nnz(), 0);
