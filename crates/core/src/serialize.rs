@@ -102,6 +102,18 @@ fn payload(msg: String) -> SerializeError {
     SerializeError::Payload(msg)
 }
 
+/// Most bytes a reader reserves for a vector before reading its elements.
+const PREALLOC_BYTES: usize = 64 << 10;
+
+/// An empty vector for `n` elements of a count field. The count is not
+/// backed by input until the elements are read, so at most
+/// [`PREALLOC_BYTES`] are reserved up front; pushes grow the vector in
+/// proportion to what was read, which keeps a reader's heap within a
+/// fixed multiple of its input length.
+fn backed_vec<T>(n: usize) -> Vec<T> {
+    Vec::with_capacity(n.min(PREALLOC_BYTES / std::mem::size_of::<T>().max(1)))
+}
+
 /// `a · b`, or an error naming `what` when the product overflows.
 fn product(a: usize, b: usize, what: &str) -> Result<usize> {
     a.checked_mul(b).ok_or_else(|| payload(format!("{what} overflows: {a} x {b}")))
@@ -151,7 +163,7 @@ fn put_vals<T: Scalar, W: Write>(w: &mut W, vals: &[T]) -> Result<()> {
 
 fn get_vals<T: Scalar, R: Read>(r: &mut R) -> Result<Vec<T>> {
     let n = get_usize(r, "value count", LEN_CAP)?;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
+    let mut out = backed_vec(n);
     for _ in 0..n {
         let mut b = [0u8; 8];
         r.read_exact(&mut b)?;
@@ -176,7 +188,7 @@ fn put_syms<S: Symbol, W: Write>(w: &mut W, syms: &[S]) -> Result<()> {
 
 fn get_syms<S: Symbol, R: Read>(r: &mut R) -> Result<Vec<S>> {
     let n = get_usize(r, "symbol count", LEN_CAP)?;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
+    let mut out = backed_vec(n);
     for _ in 0..n {
         let v = match S::BITS {
             32 => get_u32(r)? as u64,
@@ -233,7 +245,7 @@ pub fn read_bro_ell<T: Scalar, S: Symbol, R: Read>(r: &mut R) -> Result<BroEll<T
             "{n_slices} slices of height {slice_height} cannot hold {rows} rows"
         )));
     }
-    let mut slices = Vec::with_capacity(n_slices.min(1 << 20));
+    let mut slices = backed_vec(n_slices);
     let mut dec = WarpDecoder::new();
     let mut decoded_nnz = 0usize;
     for i in 0..n_slices {
@@ -251,8 +263,10 @@ pub fn read_bro_ell<T: Scalar, S: Symbol, R: Read>(r: &mut R) -> Result<BroEll<T
                 "slice {i}: bit_alloc length {alloc_len} != num_cols {num_cols}"
             )));
         }
-        let mut bit_alloc = vec![0u8; alloc_len];
-        r.read_exact(&mut bit_alloc)?;
+        let mut bit_alloc = backed_vec(alloc_len);
+        if r.take(alloc_len as u64).read_to_end(&mut bit_alloc)? != alloc_len {
+            return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
+        }
         if bit_alloc.iter().any(|&b| b as u32 > S::BITS) {
             return Err(SerializeError::Payload(format!(
                 "slice {i}: bit width exceeds symbol width"
@@ -362,7 +376,7 @@ pub fn read_bro_coo<T: Scalar, S: Symbol, R: Read>(r: &mut R) -> Result<BroCoo<T
         return Err(SerializeError::Payload("zero warp size".into()));
     }
     let n_intervals = get_usize(r, "interval count", LEN_CAP)?;
-    let mut intervals = Vec::with_capacity(n_intervals.min(1 << 20));
+    let mut intervals = backed_vec(n_intervals);
     let mut expected_start = 0usize;
     for i in 0..n_intervals {
         let start = get_usize(r, "interval start", LEN_CAP)?;
@@ -410,7 +424,7 @@ pub fn read_bro_coo<T: Scalar, S: Symbol, R: Read>(r: &mut R) -> Result<BroCoo<T
             "column array length {n_cols_arr} != interval total {total_len}"
         )));
     }
-    let mut col_idx = Vec::with_capacity(n_cols_arr.min(1 << 20));
+    let mut col_idx = backed_vec(n_cols_arr);
     for _ in 0..n_cols_arr {
         let c = get_u32(r)?;
         if c as usize >= cols {

@@ -21,6 +21,11 @@ use bro_matrix::Scalar;
 
 use crate::partition::{DevicePartition, RowPartition};
 
+/// The most devices a [`HaloPlan`] is built for. The plan holds a dense
+/// `devices × devices` table of send lists, about 25 MB at this limit and
+/// 2.4 GB at 10 000 devices.
+pub const MAX_DEVICES: usize = 1024;
+
 /// Per-pair send lists and derived traffic accounting for one cluster.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HaloPlan {
@@ -31,8 +36,12 @@ pub struct HaloPlan {
 
 impl HaloPlan {
     /// Builds the plan for the given partitioning.
+    ///
+    /// # Panics
+    /// With more than [`MAX_DEVICES`] devices.
     pub fn build<T: Scalar>(part: &RowPartition, devices: &[DevicePartition<T>]) -> Self {
         let n = devices.len();
+        assert!(n <= MAX_DEVICES, "{n} devices: a halo plan holds at most {MAX_DEVICES}");
         let mut sends = vec![vec![Vec::new(); n]; n];
         for dst in devices {
             for &c in &dst.halo_cols {

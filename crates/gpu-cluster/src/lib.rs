@@ -44,7 +44,7 @@ pub mod solve;
 pub mod stats;
 
 pub use exec::{ClusterConfig, ClusterFormat, ClusterSpmv};
-pub use halo::HaloPlan;
+pub use halo::{HaloPlan, MAX_DEVICES};
 pub use interconnect::LinkProfile;
 pub use partition::{bandwidth_weights, DevicePartition, RowPartition};
 pub use registry::ClusterKernel;

@@ -8,7 +8,7 @@
 //! bro-tool spmv      <matrix> [--device D]       simulated BRO-ELL SpMV
 //! bro-tool recommend <matrix> [--device D]       auto-select the format
 //! bro-tool solve     <matrix> [--solver S]       solve A x = b (b = A·1)
-//! bro-tool partition <matrix> [--devices N]      distributed SpMV on N GPUs
+//! bro-tool partition <matrix> [--devices N]      distributed SpMV on N ≤ 1024 GPUs
 //! bro-tool suite                                 list the Table-2 suite
 //! bro-tool verify    [--iters N] [--seed S]      correctness harness
 //! bro-tool trace     <matrix> [--format F]       traced SpMV → Chrome JSON
@@ -42,7 +42,7 @@ use bro_bench::cli::{die, die_usage, effective_threads, flag_value, install_thre
 use bro_spmv::core::{
     analyze_value_compression, write_bro_coo, write_bro_ell, BroCoo, BroCooConfig,
 };
-use bro_spmv::gpu_cluster::{ClusterConfig, ClusterFormat, ClusterSpmv, LinkProfile};
+use bro_spmv::gpu_cluster::{ClusterConfig, ClusterFormat, ClusterSpmv, LinkProfile, MAX_DEVICES};
 use bro_spmv::gpu_sim::{chrome_trace_json, KernelReport, MetricsRegistry, StatsSnapshot, Tracer};
 use bro_spmv::kernels::recommend_format;
 use bro_spmv::matrix::{io::read_matrix_market_file, suite};
@@ -109,13 +109,18 @@ fn parse_args(cmd: &str, raw: &[String]) -> Result<Args, String> {
                     other => die(&format!("unknown device '{other}' (c2070|gtx680|k20)")),
                 };
             }
-            "--scale" => a.scale = parse_flag(&mut it, "--scale"),
+            "--scale" => {
+                a.scale = parse_flag(&mut it, "--scale");
+                if !(a.scale > 0.0 && a.scale <= 1.0) {
+                    return Err("--scale must be in (0, 1]".into());
+                }
+            }
             "--coo" => a.coo_format = true,
             "--solver" => a.solver = flag_value(&mut it, "--solver").to_string(),
             "--devices" => {
                 a.devices = parse_flag(&mut it, "--devices");
-                if a.devices == 0 {
-                    die("--devices must be at least 1");
+                if !(1..=MAX_DEVICES).contains(&a.devices) {
+                    return Err(format!("--devices must be in 1..={MAX_DEVICES}"));
                 }
             }
             "--link" => {
@@ -687,6 +692,22 @@ mod tests {
         assert!(parse("compress", &["epb3", "a.bro", "b.bro"]).is_err());
         assert_eq!(parse("compress", &["epb3", "a.bro", "--coo"]).unwrap().positional.len(), 2);
         assert!(parse("trace", &["epb3", "--format", "ell"]).is_ok());
+    }
+
+    #[test]
+    fn parse_args_rejects_out_of_range_scale_and_devices() {
+        let parse = |raw: &[&str]| {
+            parse_args("partition", &raw.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+        };
+        for scale in ["2", "0", "-0.5", "nan", "inf"] {
+            let err = parse(&["epb3", "--scale", scale]).err();
+            assert_eq!(err.as_deref(), Some("--scale must be in (0, 1]"), "--scale {scale}");
+        }
+        assert_eq!(parse(&["epb3", "--scale", "1"]).unwrap().scale, 1.0);
+        for devices in ["0", "1025", "100000"] {
+            assert!(parse(&["epb3", "--devices", devices]).is_err(), "--devices {devices}");
+        }
+        assert_eq!(parse(&["epb3", "--devices", "1024"]).unwrap().devices, MAX_DEVICES);
     }
 
     #[test]
