@@ -33,11 +33,31 @@ pub fn flag_value<'a, I: Iterator<Item = &'a String>>(it: &mut I, flag: &str) ->
     }
 }
 
+/// Most `--threads` per available core. Each parallel call starts up to
+/// that many OS threads, so an unbounded value could start thousands.
+const MAX_THREADS_PER_CORE: usize = 4;
+
+/// Checks a `--threads` value against `cores` available cores: at most
+/// 4 × `cores` (`0`, "auto", always passes).
+pub fn check_threads(threads: usize, cores: usize) -> Result<(), String> {
+    let max = MAX_THREADS_PER_CORE.saturating_mul(cores);
+    if threads > max {
+        return Err(format!(
+            "--threads {threads} is above {max} ({MAX_THREADS_PER_CORE} per available core, \
+             {cores} cores)"
+        ));
+    }
+    Ok(())
+}
+
 /// Installs the worker-thread bound parsed from a `--threads N` flag as
 /// the process-global rayon default. `0` means "auto" (all available
 /// cores, rayon's own default) and leaves the pool untouched; `1` forces
 /// fully serial execution everywhere, including nested parallel regions.
+/// Dies (exit 2) on a bound that [`check_threads`] rejects.
 pub fn install_threads(threads: usize) {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    check_threads(threads, cores).unwrap_or_else(|e| die(&e));
     if threads == 0 {
         return;
     }
@@ -89,6 +109,17 @@ mod tests {
         let mut it = args.iter();
         let v: f64 = parse_flag(&mut it, "--scale");
         assert_eq!(v, 0.25);
+    }
+
+    #[test]
+    fn threads_are_capped_per_core() {
+        assert!(check_threads(0, 1).is_ok());
+        assert!(check_threads(4, 1).is_ok());
+        assert!(check_threads(8, 2).is_ok());
+        let err = check_threads(9, 2).unwrap_err();
+        assert!(err.contains("--threads 9 is above 8"), "{err}");
+        assert!(check_threads(100_000, 64).is_err());
+        assert!(check_threads(usize::MAX, usize::MAX).is_ok());
     }
 
     #[test]

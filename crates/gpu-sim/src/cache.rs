@@ -10,29 +10,42 @@
 /// Each set keeps its tags in recency order, most recently used first, so a
 /// hit moves its way to the front and a miss drops the last way. This holds
 /// exactly the lines a per-way timestamp LRU would hold after every access.
-/// An access first checks the set's MRU way: neighbouring lanes of a warp
-/// usually read the same line, and a hit there leaves the order as it is.
+/// The line of the previous access is always the MRU way of its set, so an
+/// access to that line again (neighbouring lanes of a warp usually read the
+/// same line) hits without a set lookup. Every other access updates its set
+/// in straight-line code: a set is `W` ∈ {1, 2, 4, 8} tags, `assoc` rounded
+/// up, and the ways past `assoc` stay empty, since the LRU way a miss
+/// replaces is way `assoc − 1`.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     sets: usize,
     assoc: usize,
+    /// Ways stored per set: `assoc` rounded up to 1, 2, 4 or 8.
+    width: usize,
     line_shift: u32,
     /// Lemire's fast-mod multiplier `⌊2⁶⁴ / sets⌋ + 1` (wrapping), exact for
     /// line numbers below 2³².
     set_magic: u64,
-    /// `sets * assoc` tags, each set ordered MRU → LRU; `u64::MAX` marks an
+    /// Line of the previous access, `u64::MAX` when there is none.
+    last: u64,
+    /// `1 << (assoc − 1)`: the LRU way, as a bit of a set's hit mask.
+    lru_bit: u32,
+    /// `sets * width` tags, each set ordered MRU → LRU; `u64::MAX` marks an
     /// empty way (empty ways always sit behind the filled ones).
     tags: Vec<u64>,
-    hits: u64,
+    accesses: u64,
     misses: u64,
 }
 
+/// Largest associativity the cache model supports.
+pub(crate) const MAX_ASSOC: usize = 8;
+
 impl SetAssocCache {
     /// Builds a cache of `capacity_bytes` with the given line size and
-    /// associativity. The number of sets is rounded up to at least 1.
+    /// associativity (1 to 8). The number of sets is rounded up to at least 1.
     pub fn new(capacity_bytes: usize, line_bytes: usize, assoc: usize) -> Self {
         assert!(line_bytes.is_power_of_two(), "line size must be a power of two");
-        assert!(assoc >= 1);
+        assert!((1..=MAX_ASSOC).contains(&assoc), "associativity must be in 1..={MAX_ASSOC}");
         // Zero capacity disables the cache entirely: every access misses.
         let sets = if capacity_bytes == 0 {
             0
@@ -40,13 +53,17 @@ impl SetAssocCache {
             ((capacity_bytes / line_bytes).max(assoc) / assoc).max(1)
         };
         let sets32 = u32::try_from(sets).expect("a cache has at most 2^32 sets");
+        let width = assoc.next_power_of_two();
         SetAssocCache {
             sets,
             assoc,
+            width,
             line_shift: line_bytes.trailing_zeros(),
             set_magic: (u64::MAX / u64::from(sets32.max(1))).wrapping_add(1),
-            tags: vec![u64::MAX; sets * assoc],
-            hits: 0,
+            last: u64::MAX,
+            lru_bit: 1 << (assoc - 1),
+            tags: vec![u64::MAX; sets * width],
+            accesses: 0,
             misses: 0,
         }
     }
@@ -84,49 +101,57 @@ impl SetAssocCache {
     /// Every kernel's per-lane loop calls this. Left to the inliner, whether
     /// it is inlined there depends on which other callers share the
     /// kernel's codegen unit, and that moved a kernel's host time by about
-    /// 10 % between builds of the same source. So the MRU check is always
-    /// inlined and the rest of the access is never.
+    /// 10 % between builds of the same source. So the whole access is always
+    /// inlined; the `match` on the set width takes the same arm on every
+    /// access of a cache.
     #[inline(always)]
     pub fn access(&mut self, addr: u64) -> bool {
+        self.accesses += 1;
         if self.sets == 0 {
             self.misses += 1;
             return false;
         }
         let line = addr >> self.line_shift;
-        let first = self.set_of(line) * self.assoc;
-        if self.tags[first] == line {
-            self.hits += 1;
+        if line == self.last {
             return true;
         }
-        self.access_behind_mru(first, line)
-    }
-
-    /// [`access`](Self::access) past the MRU way of the set whose ways start
-    /// at `first`: the hit way, or on a miss the LRU way, takes the line to
-    /// the front and the ways before it age by one. Written without
-    /// data-dependent branches; a miss here is common and unpredictable.
-    #[inline(never)]
-    fn access_behind_mru(&mut self, first: usize, line: u64) -> bool {
-        let ways = &mut self.tags[first..first + self.assoc];
-        let mut k = ways.len() - 1;
-        let mut hit = false;
-        for w in (1..ways.len()).rev() {
-            let found = ways[w] == line;
-            k = if found { w } else { k };
-            hit |= found;
-        }
-        for w in (1..ways.len()).rev() {
-            ways[w] = if w <= k { ways[w - 1] } else { ways[w] };
-        }
-        ways[0] = line;
-        self.hits += u64::from(hit);
+        self.last = line;
+        let hit = match self.width {
+            1 => self.update::<1>(line),
+            2 => self.update::<2>(line),
+            4 => self.update::<4>(line),
+            _ => self.update::<8>(line),
+        };
         self.misses += u64::from(!hit);
         hit
     }
 
+    /// Moves `line` to the front of its set of `W` ways: the hit way, or on
+    /// a miss the LRU way `assoc − 1`, takes the line and the ways before it
+    /// age by one. Returns whether it hit. Written without data-dependent
+    /// branches; whether an access hits, and where, is unpredictable.
+    #[inline(always)]
+    fn update<const W: usize>(&mut self, line: u64) -> bool {
+        let first = self.set_of(line) * W;
+        let ways: &mut [u64; W] =
+            (&mut self.tags[first..first + W]).try_into().expect("a set is W ways");
+        let old = *ways;
+        // Tags in a set are distinct, so at most one way matches.
+        let mut found = 0u32;
+        for (w, &tag) in old.iter().enumerate() {
+            found |= u32::from(tag == line) << w;
+        }
+        let k = (found | self.lru_bit).trailing_zeros() as usize;
+        for w in 1..W {
+            ways[w] = if w <= k { old[w - 1] } else { old[w] };
+        }
+        ways[0] = line;
+        found != 0
+    }
+
     /// Number of hits so far.
     pub fn hits(&self) -> u64 {
-        self.hits
+        self.accesses - self.misses
     }
 
     /// Number of misses so far.
@@ -136,18 +161,18 @@ impl SetAssocCache {
 
     /// Hit rate in `[0, 1]`; 0 when no accesses were made.
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
+        if self.accesses == 0 {
             0.0
         } else {
-            self.hits as f64 / total as f64
+            self.hits() as f64 / self.accesses as f64
         }
     }
 
     /// Invalidates all lines and resets statistics.
     pub fn reset(&mut self) {
         self.tags.fill(u64::MAX);
-        self.hits = 0;
+        self.last = u64::MAX;
+        self.accesses = 0;
         self.misses = 0;
     }
 }

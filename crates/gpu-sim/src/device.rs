@@ -42,7 +42,7 @@ pub struct DeviceProfile {
     pub tex_cache_bytes: usize,
     /// Texture cache line size in bytes.
     pub tex_line_bytes: usize,
-    /// Texture cache associativity.
+    /// Texture cache associativity (1 to 8).
     pub tex_assoc: usize,
     /// Resident warps per SM needed to saturate the memory system; fewer
     /// warps scale the achievable bandwidth down (the Fig. 6 `e40r5000`

@@ -16,7 +16,7 @@
 use rayon::prelude::*;
 
 use crate::buffer::{AddrSpace, BufferAddr, BASE_ADDR};
-use crate::cache::SetAssocCache;
+use crate::cache::{SetAssocCache, MAX_ASSOC};
 use crate::device::DeviceProfile;
 use crate::stats::{LaunchStats, StatsSnapshot};
 use crate::trace::{SpanId, Tracer};
@@ -106,8 +106,11 @@ impl DeviceSimBuilder {
                 p.name, p.tex_line_bytes
             ));
         }
-        if p.tex_assoc == 0 {
-            return Err(format!("profile '{}': texture associativity must be positive", p.name));
+        if p.tex_assoc == 0 || p.tex_assoc > MAX_ASSOC {
+            return Err(format!(
+                "profile '{}': texture associativity {} must be in 1..={MAX_ASSOC}",
+                p.name, p.tex_assoc
+            ));
         }
         Ok(DeviceSim {
             profile: self.profile,
@@ -966,6 +969,18 @@ mod tests {
             .try_build()
             .unwrap_err();
         assert!(err.contains("line size"));
+        // The cache model stores at most 8 ways per set.
+        let err = DeviceSim::builder(DeviceProfile::tesla_c2070())
+            .tex_cache(4096, 32, 9)
+            .try_build()
+            .unwrap_err();
+        assert!(err.contains("associativity 9"));
+        for assoc in 1..=8 {
+            let built = DeviceSim::builder(DeviceProfile::tesla_c2070())
+                .tex_cache(4096, 32, assoc)
+                .try_build();
+            assert!(built.is_ok(), "assoc {assoc}");
+        }
     }
 
     #[test]

@@ -32,6 +32,11 @@ impl StampLru {
         }
     }
 
+    fn reset(&mut self) {
+        self.tags.fill(u64::MAX);
+        self.stamps.fill(0);
+    }
+
     fn access(&mut self, addr: u64) -> bool {
         self.clock += 1;
         if self.sets == 0 {
@@ -68,13 +73,17 @@ fn distinct_segments(addrs: &[u64], elem_bytes: u64, txn_bytes: u64) -> u64 {
 }
 
 /// Cache geometries: C2070 (96 sets), K20 (384 sets), one set, zero
-/// capacity, direct-mapped, 8-way, and 128-byte lines.
-const GEOMETRIES: [(usize, usize, usize); 8] = [
+/// capacity, direct-mapped, 2-, 3-, 6- and 8-way (3 and 6 ways leave empty
+/// padding ways in each stored set), and 128-byte lines.
+const GEOMETRIES: [(usize, usize, usize); 11] = [
     (12 * 1024, 32, 4),
     (48 * 1024, 32, 4),
     (128, 32, 4),
     (0, 32, 4),
     (4096, 32, 1),
+    (2048, 32, 2),
+    (3 * 1024, 32, 3),
+    (6 * 1024, 32, 6),
     (16 * 1024, 32, 8),
     (48 * 1024, 128, 4),
     (8 * 1024, 128, 8),
@@ -127,12 +136,13 @@ proptest! {
     /// The move-to-front cache hits and misses exactly where the stamp LRU
     /// does, on every access. Besides scattered and windowed accesses the
     /// sequences repeat the previous line (an MRU hit, like neighbouring
-    /// lanes of a warp), and ping-pong between lines of one set, which moves
-    /// every way.
+    /// lanes of a warp), ping-pong between lines of one set, which moves
+    /// every way, and now and then reset both caches, after which the
+    /// previous line must miss.
     #[test]
     fn cache_matches_stamp_lru(
         geometry in 0..GEOMETRIES.len(),
-        accesses in prop::collection::vec((0..REGIONS.len(), 0u64..32 * 1024, 0u64..6), 1..3000),
+        accesses in prop::collection::vec((0..REGIONS.len(), 0u64..32 * 1024, 0u64..61), 1..3000),
     ) {
         let (capacity, line, assoc) = GEOMETRIES[geometry];
         let mut fast = SetAssocCache::new(capacity, line, assoc);
@@ -140,20 +150,29 @@ proptest! {
         // One set's stride: lines `k · sets` apart all map to the same set.
         let set_stride = (fast.sets().max(1) * line) as u64;
         let mut prev = REGIONS[0];
+        let mut since_reset = 0;
         for (i, &(region, offset, kind)) in accesses.iter().enumerate() {
-            let addr = match kind {
+            // `kind / 10` picks the access; kind 60 (one in 61) resets.
+            let addr = match kind / 10 {
                 // Narrow accesses revisit a small window, so hits are common.
                 0 => REGIONS[region] + offset % 2048,
                 // The previous access's line again.
                 1 | 2 => prev - prev % line as u64 + offset % line as u64,
                 // One of assoc + 1 lines of one set.
                 3 => REGIONS[region] + (offset % (assoc as u64 + 1)) * set_stride,
+                6 => {
+                    fast.reset();
+                    oracle.reset();
+                    since_reset = 0;
+                    continue;
+                }
                 _ => REGIONS[region] + offset,
             };
             prop_assert_eq!(fast.access(addr), oracle.access(addr), "access {} at {:#x}", i, addr);
             prev = addr;
+            since_reset += 1;
         }
-        prop_assert_eq!(fast.hits() + fast.misses(), accesses.len() as u64);
+        prop_assert_eq!(fast.hits() + fast.misses(), since_reset);
     }
 
     /// One-pass coalescing counts the same transactions as sort + dedup, for
