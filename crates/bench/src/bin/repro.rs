@@ -1,59 +1,29 @@
 //! `repro` — regenerates every table and figure of the paper.
 //!
-//! ```text
-//! repro <experiment> [--scale F] [--out DIR] [--matrix NAME] [--threads N]
-//!
-//! experiments:
-//!   table1 table2 table3 table4 table5
-//!   fig3 fig4 fig5 fig6 fig7 fig8 fig9
-//!   values multirow ablate verify
-//!   all            run everything
-//! options:
-//!   --scale F      matrix scale factor in (0, 1], default 0.1
-//!   --out DIR      also write each table as CSV into DIR
-//!   --matrix NAME  only run matrices whose name contains NAME
-//!   --threads N    bound the rayon worker pool (0 = all cores, 1 = serial)
-//! ```
+//! `repro --help` lists the experiments (`bro_bench::experiments::EXPERIMENTS`)
+//! and the options; `repro all` runs every experiment in that list's order.
 
 use bro_bench::cli::{die, die_usage, effective_threads, flag_value, install_threads, parse_flag};
-use bro_bench::experiments::*;
+use bro_bench::context::check_matrix_filter;
+use bro_bench::experiments::{self, EXPERIMENTS};
 use bro_bench::ExpContext;
 
-const USAGE: &str = "\
-usage: repro <experiment> [--scale F] [--out DIR] [--matrix NAME]
-
-experiments:
-  table1  GPU specifications (Table 1)
-  table2  benchmark matrix suite (Table 2)
-  table3  BRO-ELL space savings (Table 3)
-  table4  BRO-HYB partitioning and savings (Table 4)
-  table5  space savings after BAR (Table 5)
-  fig3    BRO-ELL GFLOP/s vs space savings sweep (Fig. 3)
-  fig4    BRO-ELL vs ELLPACK / ELLPACK-R (Fig. 4)
-  fig5    effective arithmetic intensity (Fig. 5)
-  fig6    bandwidth utilization, first six matrices (Fig. 6)
-  fig7    BRO-COO vs COO (Fig. 7)
-  fig8    BRO-HYB vs HYB (Fig. 8)
-  fig9    BAR vs RCM vs AMD reordering (Fig. 9 + averages)
-  values  extension: value-stream compression
-  multirow extension: multiple threads per row
-  ablate  ablations: slice height, symbol length, interval length
-  precision  extension: f32 vs f64
-  formats    extension: full format zoo + autotuner picks
-  spmm       extension: block SpMV amortization sweep
-  split      extension: BRO-HYB split-width sweep
-  divergence extension: BRO-ELL vs CPU-style varint scheme
-  solver     extension: solver economics (compression amortization)
-  scaling    extension: multi-GPU strong/weak scaling (distributed SpMV)
-  verify     correctness gate: differential fuzzing + golden snapshots
-  all     everything above
-
-options:
-  --scale F      matrix scale factor in (0, 1], default 0.1
-  --out DIR      also write each table as CSV into DIR
-  --matrix NAME  only run matrices whose name contains NAME
-  --threads N    bound the rayon worker pool (0 = all cores, 1 = serial)
-";
+/// The `--help` text, listing every experiment of [`EXPERIMENTS`].
+fn usage() -> String {
+    let mut s = String::from(
+        "usage: repro <experiment> [--scale F] [--out DIR] [--matrix NAME] [--threads N]\n\n\
+         experiments:\n",
+    );
+    for e in &EXPERIMENTS {
+        s += &format!("  {:<12}{}\n", e.name, e.about);
+    }
+    s + "  all         everything above, in this order (Table 5 with fig9)\n\n\
+         options:\n\
+         \x20 --scale F      matrix scale factor in (0, 1], default 0.1\n\
+         \x20 --out DIR      also write each table as CSV into DIR\n\
+         \x20 --matrix NAME  only run matrices whose name contains NAME\n\
+         \x20 --threads N    bound the rayon worker pool (0 = all cores, 1 = serial)\n"
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -80,18 +50,26 @@ fn main() {
             }
             "--threads" => threads = parse_flag(&mut it, "--threads"),
             "-h" | "--help" => {
-                print!("{USAGE}");
+                print!("{}", usage());
                 return;
             }
             other if experiment.is_none() && !other.starts_with('-') => {
                 experiment = Some(other.to_string());
             }
-            other => die_usage(&format!("unknown argument '{other}'"), USAGE),
+            other => die_usage(&format!("unknown argument '{other}'"), &usage()),
         }
     }
     let Some(exp) = experiment else {
-        die_usage("an experiment name is required", USAGE);
+        die_usage("an experiment name is required", &usage());
     };
+    let run: Vec<_> = match experiments::by_name(&exp) {
+        Some(e) => vec![e],
+        None if exp == "all" => experiments::all().collect(),
+        None => die_usage(&format!("unknown experiment '{exp}'"), &usage()),
+    };
+    if let Some(filter) = &matrix {
+        check_matrix_filter(filter).unwrap_or_else(|e| die_usage(&e, &usage()));
+    }
 
     install_threads(threads);
     let mut ctx = ExpContext::new(scale);
@@ -103,55 +81,8 @@ fn main() {
         effective_threads()
     );
     let t0 = std::time::Instant::now();
-    match exp.as_str() {
-        "table1" => table1::run(&mut ctx),
-        "table2" => table2::run(&mut ctx),
-        "table3" => table3::run(&mut ctx),
-        "table4" => table4::run(&mut ctx),
-        "table5" => reorder_exp::run(&mut ctx, true),
-        "fig3" => fig3::run(&mut ctx),
-        "fig4" => fig4::run(&mut ctx),
-        "fig5" => fig5::run(&mut ctx),
-        "fig6" => fig6::run(&mut ctx),
-        "fig7" => fig7::run(&mut ctx),
-        "fig8" => fig8::run(&mut ctx),
-        "fig9" => reorder_exp::run(&mut ctx, false),
-        "values" => values_exp::run(&mut ctx),
-        "multirow" => multirow_exp::run(&mut ctx),
-        "ablate" => ablate::run(&mut ctx),
-        "precision" => precision::run(&mut ctx),
-        "formats" => formats::run(&mut ctx),
-        "spmm" => spmm_exp::run(&mut ctx),
-        "split" => split_exp::run(&mut ctx),
-        "divergence" => divergence::run(&mut ctx),
-        "solver" => solver_exp::run(&mut ctx),
-        "scaling" => scaling::run(&mut ctx),
-        "verify" => verify_exp::run(&mut ctx),
-        "all" => {
-            verify_exp::run(&mut ctx);
-            table1::run(&mut ctx);
-            table2::run(&mut ctx);
-            fig3::run(&mut ctx);
-            table3::run(&mut ctx);
-            fig4::run(&mut ctx);
-            fig5::run(&mut ctx);
-            fig6::run(&mut ctx);
-            fig7::run(&mut ctx);
-            table4::run(&mut ctx);
-            fig8::run(&mut ctx);
-            reorder_exp::run(&mut ctx, false);
-            values_exp::run(&mut ctx);
-            multirow_exp::run(&mut ctx);
-            ablate::run(&mut ctx);
-            precision::run(&mut ctx);
-            formats::run(&mut ctx);
-            spmm_exp::run(&mut ctx);
-            split_exp::run(&mut ctx);
-            divergence::run(&mut ctx);
-            solver_exp::run(&mut ctx);
-            scaling::run(&mut ctx);
-        }
-        other => die_usage(&format!("unknown experiment '{other}'"), USAGE),
+    for e in run {
+        (e.run)(&mut ctx);
     }
     eprintln!("done in {:.1}s", t0.elapsed().as_secs_f64());
 }

@@ -47,10 +47,12 @@ impl ExpContext {
 
     /// Whether a matrix passes the `--matrix` filter.
     pub fn selected(&self, name: &str) -> bool {
-        match &self.matrix_filter {
-            Some(f) => name.to_ascii_lowercase().contains(&f.to_ascii_lowercase()),
-            None => true,
-        }
+        self.matrix_filter.as_deref().is_none_or(|f| passes(f, name))
+    }
+
+    /// The matrices of `set` that pass the `--matrix` filter, in order.
+    pub fn select<M: AsRef<str>>(&self, set: impl IntoIterator<Item = M>) -> Vec<M> {
+        set.into_iter().filter(|m| self.selected(m.as_ref())).collect()
     }
 
     /// A deterministic x vector of the given length (values in ~[1, 3]).
@@ -75,6 +77,22 @@ impl ExpContext {
             }
             println!("(written to {})", path.display());
         }
+    }
+}
+
+/// Whether `name` passes the `--matrix` filter `filter`: a case-insensitive
+/// substring match.
+fn passes(filter: &str, name: &str) -> bool {
+    name.to_ascii_lowercase().contains(&filter.to_ascii_lowercase())
+}
+
+/// Checks a `--matrix` filter: at least one suite matrix must pass it, or
+/// every experiment would print empty tables.
+pub fn check_matrix_filter(filter: &str) -> Result<(), String> {
+    if suite::full_suite().iter().any(|e| passes(filter, e.name)) {
+        Ok(())
+    } else {
+        Err(format!("--matrix '{filter}' matches no suite matrix"))
     }
 }
 
@@ -117,6 +135,16 @@ mod tests {
         ctx.matrix_filter = Some("QCD".into());
         assert!(ctx.selected("qcd5_4"));
         assert!(!ctx.selected("cant"));
+    }
+
+    #[test]
+    fn matrix_filter_must_match_a_suite_matrix() {
+        assert!(check_matrix_filter("QCD").is_ok());
+        assert!(check_matrix_filter("epb3").is_ok());
+        assert!(check_matrix_filter("").is_ok());
+        let err = check_matrix_filter("zzz").unwrap_err();
+        assert!(err.contains("'zzz'"), "{err}");
+        assert!(check_matrix_filter("nosuch").is_err());
     }
 
     #[test]

@@ -17,7 +17,9 @@ pub const HEIGHTS: [usize; 5] = [32, 64, 128, 256, 512];
 /// Interval lengths swept.
 pub const INTERVALS: [usize; 4] = [256, 512, 1024, 4096];
 
-/// Runs all ablations on a representative FEM matrix.
+/// Runs all ablations on a representative FEM matrix. Every format is built
+/// directly: each sweep varies a config (`h`, the symbol type, the interval)
+/// or the device's texture cache, which the registry's defaults fix.
 pub fn run(ctx: &mut ExpContext) {
     let dev = DeviceProfile::tesla_k20();
     let name = if ctx.selected("cant") { "cant" } else { "consph" };
@@ -30,9 +32,7 @@ pub fn run(ctx: &mut ExpContext) {
     for &h in HEIGHTS.iter() {
         let cfg = BroEllConfig { slice_height: h, ..Default::default() };
         let bro: BroEll<f64> = BroEll::from_coo(&coo, &cfg);
-        let r = run_kernel(&dev, flops, 8, |s| {
-            bro_ell_spmv(s, &bro, &x);
-        });
+        let r = run_kernel(&dev, flops, 8, |s| bro_ell_spmv(s, &bro, &x));
         t_h.row(vec![h.to_string(), pct(bro.space_savings().eta()), f(r.gflops, 2)]);
     }
     ctx.emit("ablate_h", &format!("Ablation: slice height h ({name}, Tesla K20)"), &t_h);
@@ -41,14 +41,10 @@ pub fn run(ctx: &mut ExpContext) {
     let mut t_sym = TextTable::new(&["sym_len", "eta", "GFLOP/s"]);
     {
         let bro32: BroEll<f64, u32> = BroEll::from_coo(&coo, &BroEllConfig::default());
-        let r32 = run_kernel(&dev, flops, 8, |s| {
-            bro_ell_spmv(s, &bro32, &x);
-        });
+        let r32 = run_kernel(&dev, flops, 8, |s| bro_ell_spmv(s, &bro32, &x));
         t_sym.row(vec!["32".into(), pct(bro32.space_savings().eta()), f(r32.gflops, 2)]);
         let bro64: BroEll<f64, u64> = BroEll::from_coo(&coo, &BroEllConfig::default());
-        let r64 = run_kernel(&dev, flops, 8, |s| {
-            bro_ell_spmv(s, &bro64, &x);
-        });
+        let r64 = run_kernel(&dev, flops, 8, |s| bro_ell_spmv(s, &bro64, &x));
         t_sym.row(vec!["64".into(), pct(bro64.space_savings().eta()), f(r64.gflops, 2)]);
     }
     ctx.emit("ablate_sym", &format!("Ablation: symbol length ({name}, Tesla K20)"), &t_sym);
@@ -58,9 +54,7 @@ pub fn run(ctx: &mut ExpContext) {
     for &ilen in INTERVALS.iter() {
         let cfg = BroCooConfig { interval_len: ilen, warp_size: 32 };
         let bro: BroCoo<f64> = BroCoo::compress(&coo, &cfg);
-        let r = run_kernel(&dev, flops, 8, |s| {
-            bro_coo_spmv(s, &bro, &x);
-        });
+        let r = run_kernel(&dev, flops, 8, |s| bro_coo_spmv(s, &bro, &x));
         t_iv.row(vec![ilen.to_string(), pct(bro.space_savings().eta()), f(r.gflops, 2)]);
     }
     ctx.emit(
@@ -76,9 +70,7 @@ pub fn run(ctx: &mut ExpContext) {
     for (label, bytes) in [("48 KiB (default)", dev.tex_cache_bytes), ("disabled", 0)] {
         let mut small_dev = dev.clone();
         small_dev.tex_cache_bytes = bytes;
-        let r = run_kernel(&small_dev, flops, 8, |s| {
-            bro_ell_spmv(s, &bro, &x);
-        });
+        let r = run_kernel(&small_dev, flops, 8, |s| bro_ell_spmv(s, &bro, &x));
         t_tex.row(vec![
             label.into(),
             f(r.gflops, 2),

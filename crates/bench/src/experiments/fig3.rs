@@ -7,11 +7,11 @@
 //! from 32 bits (no savings) down to 1 bit.
 
 use bro_core::{BroEll, BroEllConfig};
-use bro_kernels::{bro_ell_spmv, ell_spmv};
-use bro_matrix::{DenseMatrix, EllMatrix};
+use bro_kernels::bro_ell_spmv;
+use bro_matrix::DenseMatrix;
 
 use crate::context::ExpContext;
-use crate::experiments::run_kernel;
+use crate::experiments::{build, run_kernel};
 use crate::table::{f, pct, TextTable};
 
 /// Dense matrix width (columns); small enough that x stays cache-resident.
@@ -28,7 +28,7 @@ pub fn run(ctx: &mut ExpContext) {
     let dense =
         DenseMatrix::from_fn(rows, DENSE_COLS, |r, c| 1.0 + ((r * 31 + c * 7) % 16) as f64 * 0.125);
     let coo = dense.to_coo_full();
-    let ell = EllMatrix::from_coo(&coo);
+    let ell = build("ell", &coo);
     let x = ctx.input_vector(DENSE_COLS);
     let flops = 2 * coo.nnz() as u64;
 
@@ -36,19 +36,16 @@ pub fn run(ctx: &mut ExpContext) {
     let mut crossovers = TextTable::new(&["Device", "ELLPACK GFLOP/s", "break-even savings"]);
 
     for dev in ctx.devices.clone() {
-        let ell_report = run_kernel(&dev, flops, 8, |sim| {
-            ell_spmv(sim, &ell, &x);
-        });
+        let ell_report = run_kernel(&dev, flops, 8, |s| ell.run(s, &x));
 
         let mut prev: Option<(f64, f64)> = None; // (savings, gflops)
         let mut crossover: Option<f64> = None;
         for &w in WIDTHS.iter() {
+            // Built directly: no registry kernel forces the index width.
             let cfg = BroEllConfig { slice_height: 256, forced_width: Some(w) };
             let bro: BroEll<f64> = BroEll::from_coo(&coo, &cfg);
             let eta = bro.space_savings().eta();
-            let report = run_kernel(&dev, flops, 8, |sim| {
-                bro_ell_spmv(sim, &bro, &x);
-            });
+            let report = run_kernel(&dev, flops, 8, |sim| bro_ell_spmv(sim, &bro, &x));
             t.row(vec![
                 dev.name.to_string(),
                 w.to_string(),

@@ -1,34 +1,23 @@
 //! Fig. 5: effective arithmetic intensity (EAI = useful flops per DRAM
 //! byte) of BRO-ELL versus ELLPACK on the Tesla K20.
 
-use bro_core::{BroEll, BroEllConfig};
 use bro_gpu_sim::DeviceProfile;
-use bro_kernels::{bro_ell_spmv, ell_spmv};
-use bro_matrix::{suite, EllMatrix};
+use bro_matrix::suite;
 
 use crate::context::ExpContext;
-use crate::experiments::run_kernel;
+use crate::experiments::{build, run_kernel};
 use crate::table::{f, TextTable};
 
 /// Computes the EAI comparison on Test Set 1.
 pub fn run(ctx: &mut ExpContext) {
     let k20 = DeviceProfile::tesla_k20();
     let mut t = TextTable::new(&["Matrix", "EAI ELLPACK", "EAI BRO-ELL", "ratio"]);
-    for entry in suite::test_set_1() {
-        if !ctx.selected(entry.name) {
-            continue;
-        }
-        let coo = ctx.matrix(entry.name).clone();
-        let ell = EllMatrix::from_coo(&coo);
-        let bro: BroEll<f64> = BroEll::from_coo(&coo, &BroEllConfig::default());
-        let x = ctx.input_vector(coo.cols());
-        let flops = 2 * coo.nnz() as u64;
-        let r_ell = run_kernel(&k20, flops, 8, |s| {
-            ell_spmv(s, &ell, &x);
-        });
-        let r_bro = run_kernel(&k20, flops, 8, |s| {
-            bro_ell_spmv(s, &bro, &x);
-        });
+    for entry in ctx.select(suite::test_set_1()) {
+        let a = ctx.matrix(entry.name);
+        let (flops, cols) = (2 * a.nnz() as u64, a.cols());
+        let [ell, bro] = ["ell", "bro-ell"].map(|k| build(k, a));
+        let x = ctx.input_vector(cols);
+        let [r_ell, r_bro] = [ell, bro].map(|p| run_kernel(&k20, flops, 8, |s| p.run(s, &x)));
         t.row(vec![
             entry.name.to_string(),
             f(r_ell.eai, 3),

@@ -2,11 +2,8 @@
 //! three devices for the first six matrices of Test Set 1 — including the
 //! `e40r5000` occupancy dip on the wide Kepler devices.
 
-use bro_core::{BroEll, BroEllConfig};
-use bro_kernels::bro_ell_spmv;
-
 use crate::context::ExpContext;
-use crate::experiments::run_kernel;
+use crate::experiments::{build, run_kernel};
 use crate::table::{f, pct, TextTable};
 
 /// The first six matrices of Table 2, as plotted in the paper.
@@ -15,18 +12,13 @@ pub const MATRICES: [&str; 6] = ["cage12", "cant", "consph", "e40r5000", "epb3",
 /// Computes bandwidth utilization per matrix and device.
 pub fn run(ctx: &mut ExpContext) {
     let mut t = TextTable::new(&["Matrix", "Device", "achieved GB/s", "utilization", "occupancy"]);
-    for name in MATRICES {
-        if !ctx.selected(name) {
-            continue;
-        }
-        let coo = ctx.matrix(name).clone();
-        let bro: BroEll<f64> = BroEll::from_coo(&coo, &BroEllConfig::default());
-        let x = ctx.input_vector(coo.cols());
-        let flops = 2 * coo.nnz() as u64;
-        for dev in ctx.devices.clone() {
-            let r = run_kernel(&dev, flops, 8, |s| {
-                bro_ell_spmv(s, &bro, &x);
-            });
+    for name in ctx.select(MATRICES) {
+        let a = ctx.matrix(name);
+        let (flops, cols) = (2 * a.nnz() as u64, a.cols());
+        let bro = build("bro-ell", a);
+        let x = ctx.input_vector(cols);
+        for dev in &ctx.devices {
+            let r = run_kernel(dev, flops, 8, |s| bro.run(s, &x));
             t.row(vec![
                 name.to_string(),
                 dev.name.to_string(),

@@ -17,18 +17,13 @@ pub fn run(ctx: &mut ExpContext) {
     let dev = DeviceProfile::tesla_k20();
     let mut t = TextTable::new(&["Matrix", "format", "GFLOP/s", "DRAM MB"]);
     let mut picks = TextTable::new(&["Matrix", "autotuner pick"]);
-    for name in MATRICES {
-        if !ctx.selected(name) {
-            continue;
-        }
+    for name in ctx.select(MATRICES) {
         let a = ctx.matrix(name).clone();
         let x = ctx.input_vector(a.cols());
         let flops = 2 * a.nnz() as u64;
         for &kernel in registry::all() {
             let prepared = kernel.build_from_coo(&a);
-            let r = run_kernel(&dev, flops, 8, |s| {
-                prepared.run(s, &x);
-            });
+            let r = run_kernel(&dev, flops, 8, |s| prepared.run(s, &x));
             t.row(vec![
                 name.to_string(),
                 kernel.name().to_string(),

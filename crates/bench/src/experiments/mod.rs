@@ -1,14 +1,13 @@
 //! One module per table/figure of the paper (see DESIGN.md's experiment
-//! index), plus the extension experiments.
+//! index), plus the extension experiments. [`EXPERIMENTS`] lists them all;
+//! the paper's pairwise format comparisons (Fig. 4, 7 and 8) are three
+//! [`Comparison`]s run by [`compare`].
 
 pub mod ablate;
 pub mod divergence;
 pub mod fig3;
-pub mod fig4;
 pub mod fig5;
 pub mod fig6;
-pub mod fig7;
-pub mod fig8;
 pub mod formats;
 pub mod multirow_exp;
 pub mod precision;
@@ -25,27 +24,202 @@ pub mod values_exp;
 pub mod verify_exp;
 
 use bro_gpu_sim::{DeviceProfile, DeviceSim, KernelReport};
+use bro_kernels::{registry, PreparedSpmv};
+use bro_matrix::suite::{self, SuiteEntry};
+use bro_matrix::CooMatrix;
+
+use crate::context::ExpContext;
+use crate::table::{f, TextTable};
+
+/// One `repro` experiment: its command-line name, a one-line description
+/// for `--help`, and its entry point.
+pub struct Experiment {
+    /// Command-line name, e.g. `"fig4"`.
+    pub name: &'static str,
+    /// One-line description shown by `repro --help`.
+    pub about: &'static str,
+    /// Runs the experiment, emitting its tables through the context.
+    pub run: fn(&mut ExpContext),
+}
+
+const fn exp(name: &'static str, about: &'static str, run: fn(&mut ExpContext)) -> Experiment {
+    Experiment { name, about, run }
+}
+
+/// Every experiment, in the order `repro all` runs them.
+pub static EXPERIMENTS: [Experiment; 23] = [
+    exp("verify", "correctness gate: fuzzing, corpus, goldens, determinism", verify_exp::run),
+    exp("table1", "GPU specifications (Table 1)", table1::run),
+    exp("table2", "benchmark matrix suite (Table 2)", table2::run),
+    exp("fig3", "BRO-ELL GFLOP/s vs space savings sweep (Fig. 3)", fig3::run),
+    exp("table3", "BRO-ELL space savings (Table 3)", table3::run),
+    exp("fig4", "BRO-ELL vs ELLPACK / ELLPACK-R (Fig. 4)", |c| compare(c, &FIG4)),
+    exp("fig5", "effective arithmetic intensity (Fig. 5)", fig5::run),
+    exp("fig6", "bandwidth utilization, first six matrices (Fig. 6)", fig6::run),
+    exp("fig7", "BRO-COO vs COO (Fig. 7)", |c| compare(c, &FIG7)),
+    exp("table4", "BRO-HYB partitioning and savings (Table 4)", table4::run),
+    exp("fig8", "BRO-HYB vs HYB (Fig. 8)", |c| compare(c, &FIG8)),
+    exp("fig9", "BAR vs RCM vs AMD reordering (Fig. 9 + averages, Table 5)", |c| {
+        reorder_exp::run(c, false)
+    }),
+    exp("table5", "space savings after BAR (Table 5 only)", |c| reorder_exp::run(c, true)),
+    exp("values", "extension: value-stream compression", values_exp::run),
+    exp("multirow", "extension: multiple threads per row", multirow_exp::run),
+    exp("ablate", "ablations: slice height, symbol length, interval length", ablate::run),
+    exp("precision", "extension: f32 vs f64", precision::run),
+    exp("formats", "extension: full format zoo + autotuner picks", formats::run),
+    exp("spmm", "extension: block SpMV amortization sweep", spmm_exp::run),
+    exp("split", "extension: BRO-HYB split-width sweep", split_exp::run),
+    exp("divergence", "extension: BRO-ELL vs CPU-style varint scheme", divergence::run),
+    exp("solver", "extension: solver economics (compression amortization)", solver_exp::run),
+    exp("scaling", "extension: multi-GPU strong/weak scaling (distributed SpMV)", scaling::run),
+];
+
+/// Experiments `repro all` skips: `fig9`'s run already emits Table 5.
+pub const NOT_IN_ALL: [&str; 1] = ["table5"];
+
+/// Looks an experiment up by its command-line name.
+pub fn by_name(name: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.name == name)
+}
+
+/// The experiments `repro all` runs, in order.
+pub fn all() -> impl Iterator<Item = &'static Experiment> {
+    EXPERIMENTS.iter().filter(|e| !NOT_IN_ALL.contains(&e.name))
+}
+
+/// A pairwise format comparison over one matrix set: every listed registry
+/// kernel runs on every device, and the last one (the BRO format) is
+/// compared against each of the others.
+pub struct Comparison {
+    /// CSV id of the per-(matrix, device) table; the averages go to `<id>_avg`.
+    pub id: &'static str,
+    /// Title of the per-(matrix, device) table.
+    pub title: &'static str,
+    /// Title of the per-device averages table.
+    pub avg_title: &'static str,
+    /// The matrices compared (before the `--matrix` filter).
+    pub set: fn() -> Vec<SuiteEntry>,
+    /// Registry names: the baselines first, the BRO format last.
+    pub kernels: &'static [&'static str],
+    /// Matrix, device, one GFLOP/s column per kernel, one speedup column
+    /// per baseline.
+    pub header: &'static [&'static str],
+    /// Device, one average speedup column per baseline.
+    pub avg_header: &'static [&'static str],
+}
+
+/// Fig. 4: BRO-ELL versus ELLPACK and ELLPACK-R across Test Set 1 on all
+/// three devices, with per-device average speedups (the paper reports
+/// 1.5×/1.6×/1.4× over ELLPACK and +13% over ELLPACK-R on average).
+pub const FIG4: Comparison = Comparison {
+    id: "fig4",
+    title: "Fig. 4: BRO-ELL vs ELLPACK vs ELLPACK-R (Test Set 1)",
+    avg_title: "Fig. 4 summary: average speedups",
+    set: suite::test_set_1,
+    kernels: &["ell", "ellr", "bro-ell"],
+    header: &["Matrix", "Device", "ELL GF/s", "ELL-R GF/s", "BRO-ELL GF/s", "vs ELL", "vs ELL-R"],
+    avg_header: &["Device", "avg speedup vs ELL", "avg speedup vs ELL-R"],
+};
+
+/// Fig. 7: BRO-COO versus COO across all thirty matrices and all three
+/// devices. The paper's finding: gains exist but are smaller than
+/// BRO-ELL's, and shrink (sometimes below 1×) on the Kepler devices whose
+/// higher bandwidth and faster caches lift the COO baseline while the
+/// decode scan still costs compute.
+pub const FIG7: Comparison = Comparison {
+    id: "fig7",
+    title: "Fig. 7: BRO-COO vs COO (all matrices)",
+    avg_title: "Fig. 7 summary: average BRO-COO speedup per device",
+    set: suite::full_suite,
+    kernels: &["coo", "bro-coo"],
+    header: &["Matrix", "Device", "COO GF/s", "BRO-COO GF/s", "speedup"],
+    avg_header: &["Device", "avg speedup"],
+};
+
+/// Fig. 8: BRO-HYB versus HYB on Test Set 2, both split at HYB's width (an
+/// identical partition, as in the paper). The paper plots the Tesla K20
+/// ("results for C2070 and GTX680 are similar") and reports average
+/// speedups of 1.6×/1.3×/1.4× on C2070/GTX680/K20; this harness prints all
+/// three devices plus the per-device averages.
+pub const FIG8: Comparison = Comparison {
+    id: "fig8",
+    title: "Fig. 8: BRO-HYB vs HYB (Test Set 2)",
+    avg_title: "Fig. 8 summary: average BRO-HYB speedup per device",
+    set: suite::test_set_2,
+    kernels: &["hyb", "bro-hyb"],
+    header: &["Matrix", "Device", "HYB GF/s", "BRO-HYB GF/s", "speedup"],
+    avg_header: &["Device", "avg speedup"],
+};
+
+/// Runs a [`Comparison`]: builds its kernels once per selected matrix, runs
+/// each on every device, and emits the per-(matrix, device) table and the
+/// per-device geometric-mean speedups.
+pub fn compare(ctx: &mut ExpContext, c: &Comparison) {
+    let baselines = c.kernels.len() - 1;
+    let mut t = TextTable::new(c.header);
+    // speedups[device][baseline]: one ratio per matrix.
+    let mut speedups = vec![vec![Vec::new(); baselines]; ctx.devices.len()];
+    for entry in ctx.select((c.set)()) {
+        let a = ctx.matrix(entry.name);
+        let (flops, cols) = (2 * a.nnz() as u64, a.cols());
+        let prepared: Vec<PreparedSpmv> = c.kernels.iter().map(|k| build(k, a)).collect();
+        let x = ctx.input_vector(cols);
+        for (dev, speedups) in ctx.devices.iter().zip(&mut speedups) {
+            let gflops: Vec<f64> = prepared
+                .iter()
+                .map(|p| run_kernel(dev, flops, 8, |s| p.run(s, &x)).gflops)
+                .collect();
+            let bro = gflops[baselines];
+            let mut row = vec![entry.name.to_string(), dev.name.to_string()];
+            row.extend(gflops.iter().map(|&g| f(g, 2)));
+            for (ratios, &base) in speedups.iter_mut().zip(&gflops) {
+                ratios.push(bro / base);
+                row.push(f(bro / base, 2));
+            }
+            t.row(row);
+        }
+    }
+    ctx.emit(c.id, c.title, &t);
+
+    let mut avg = TextTable::new(c.avg_header);
+    for (dev, speedups) in ctx.devices.iter().zip(&speedups) {
+        let mut row = vec![dev.name.to_string()];
+        row.extend(speedups.iter().map(|ratios| geomean(ratios, 2)));
+        avg.row(row);
+    }
+    ctx.emit(&format!("{}_avg", c.id), c.avg_title, &avg);
+}
+
+/// Builds the registry kernel `name` (at its defaults) for `a`.
+pub fn build(name: &str, a: &CooMatrix<f64>) -> PreparedSpmv {
+    registry::by_name(name)
+        .unwrap_or_else(|| panic!("no registry kernel '{name}'"))
+        .build_from_coo(a)
+}
 
 /// Runs a kernel closure on a fresh device and reports it, crediting
-/// `useful_flops` (2 × nnz for SpMV) at the given scalar width.
-pub fn run_kernel(
+/// `useful_flops` (2 × nnz for SpMV) at the given scalar width. The
+/// kernel's result is dropped.
+pub fn run_kernel<R>(
     profile: &DeviceProfile,
     useful_flops: u64,
     val_bytes: usize,
-    f: impl FnOnce(&mut DeviceSim),
+    f: impl FnOnce(&mut DeviceSim) -> R,
 ) -> KernelReport {
     let mut sim = DeviceSim::new(profile.clone());
     f(&mut sim);
     KernelReport::from_device(&sim, useful_flops, val_bytes)
 }
 
-/// Geometric mean of a non-empty slice (used for the "average speedup"
-/// claims, which the paper aggregates across matrices).
-pub fn geomean(values: &[f64]) -> f64 {
+/// Geometric mean of `values` at `prec` decimals (the paper aggregates its
+/// "average speedup" claims across matrices), or `-` when the `--matrix`
+/// filter left no matrix to average.
+pub fn geomean(values: &[f64], prec: usize) -> String {
     if values.is_empty() {
-        return 0.0;
+        return "-".into();
     }
-    (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
+    f((values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp(), prec)
 }
 
 #[cfg(test)]
@@ -54,8 +228,51 @@ mod tests {
 
     #[test]
     fn geomean_basics() {
-        assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
-        assert_eq!(geomean(&[]), 0.0);
-        assert!((geomean(&[3.0]) - 3.0).abs() < 1e-12);
+        assert_eq!(geomean(&[2.0, 8.0], 2), "4.00");
+        assert_eq!(geomean(&[], 2), "-");
+        assert_eq!(geomean(&[3.0], 3), "3.000");
+    }
+
+    #[test]
+    fn experiment_names_are_unique_and_resolve() {
+        let mut names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        for e in &EXPERIMENTS {
+            assert!(std::ptr::eq(by_name(e.name).unwrap(), e), "{} resolves to itself", e.name);
+        }
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), EXPERIMENTS.len(), "experiment names are unique");
+        assert!(by_name("all").is_none() && by_name("nosuch").is_none());
+        assert!(NOT_IN_ALL.iter().all(|name| by_name(name).is_some()));
+    }
+
+    #[test]
+    fn all_runs_every_experiment_once_in_order() {
+        let names: Vec<&str> = all().map(|e| e.name).collect();
+        let want = "verify table1 table2 fig3 table3 fig4 fig5 fig6 fig7 table4 fig8 fig9 values \
+                    multirow ablate precision formats spmm split divergence solver scaling";
+        assert_eq!(names, want.split_whitespace().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn comparisons_run_one_matrix() {
+        for (name, matrix) in [("fig4", "epb3"), ("fig7", "scircuit"), ("fig8", "sme3Da")] {
+            let mut ctx = ExpContext::new(0.02);
+            ctx.devices.truncate(1);
+            ctx.matrix_filter = Some(matrix.into());
+            (by_name(name).unwrap().run)(&mut ctx);
+        }
+    }
+
+    #[test]
+    fn comparison_headers_match_their_kernels() {
+        for c in [&FIG4, &FIG7, &FIG8] {
+            let baselines = c.kernels.len() - 1;
+            assert_eq!(c.header.len(), 2 + c.kernels.len() + baselines, "{}", c.id);
+            assert_eq!(c.avg_header.len(), 1 + baselines, "{}", c.id);
+            for k in c.kernels {
+                assert!(registry::by_name(k).is_some(), "{}: {k}", c.id);
+            }
+        }
     }
 }

@@ -17,17 +17,15 @@ pub const THREADS: [usize; 4] = [1, 2, 4, 8];
 pub fn run(ctx: &mut ExpContext) {
     let dev = DeviceProfile::tesla_k20();
     let mut t = TextTable::new(&["Matrix", "threads/row", "GFLOP/s", "occupancy", "vs t=1"]);
-    for name in ["e40r5000", "rim", "cant"] {
-        if !ctx.selected(name) {
-            continue;
-        }
+    for name in ctx.select(["e40r5000", "rim", "cant"]) {
         let coo = ctx.matrix(name).clone();
         let x = ctx.input_vector(coo.cols());
         let flops = 2 * coo.nnz() as u64;
         let mut base = None;
         for &threads in THREADS.iter() {
+            // Run directly: the registry's `multirow` fixes the thread count.
             let r = run_kernel(&dev, flops, 8, |s| {
-                bro_ell_multirow_spmv(s, &coo, &x, threads, &Default::default());
+                bro_ell_multirow_spmv(s, &coo, &x, threads, &Default::default())
             });
             let base_gf = *base.get_or_insert(r.gflops);
             t.row(vec![

@@ -7,8 +7,9 @@
 //! SpMV relatively more.
 
 use bro_core::{BroEll, BroEllConfig};
+use bro_gpu_sim::DeviceProfile;
 use bro_kernels::{bro_ell_spmv, ell_spmv};
-use bro_matrix::{CooMatrix, EllMatrix};
+use bro_matrix::{CooMatrix, EllMatrix, Scalar};
 
 use crate::context::ExpContext;
 use crate::experiments::run_kernel;
@@ -21,54 +22,38 @@ fn to_f32(a: &CooMatrix<f64>) -> CooMatrix<f32> {
     CooMatrix::from_triplets(a.rows(), a.cols(), &rows, &cols, &vals).unwrap()
 }
 
+/// ELLPACK and BRO-ELL GFLOP/s at `T`'s precision. Both are built
+/// directly: the registry's kernels are f64 only.
+fn gflops<T: Scalar>(dev: &DeviceProfile, a: &CooMatrix<T>, x: &[T]) -> (f64, f64) {
+    let flops = 2 * a.nnz() as u64;
+    let ell = EllMatrix::from_coo(a);
+    let bro: BroEll<T> = BroEll::from_coo(a, &BroEllConfig::default());
+    let r_ell = run_kernel(dev, flops, T::BYTES, |s| ell_spmv(s, &ell, x));
+    let r_bro = run_kernel(dev, flops, T::BYTES, |s| bro_ell_spmv(s, &bro, x));
+    (r_ell.gflops, r_bro.gflops)
+}
+
 /// Runs the SP/DP comparison on a few representative matrices.
 pub fn run(ctx: &mut ExpContext) {
     let mut t =
         TextTable::new(&["Matrix", "Device", "prec", "ELL GF/s", "BRO-ELL GF/s", "speedup"]);
-    for name in ["cant", "stomach", "qcd5_4"] {
-        if !ctx.selected(name) {
-            continue;
-        }
+    for name in ctx.select(["cant", "stomach", "qcd5_4"]) {
         let a64 = ctx.matrix(name).clone();
         let a32 = to_f32(&a64);
-        let flops = 2 * a64.nnz() as u64;
-        for dev in ctx.devices.clone() {
-            // Double precision.
-            let ell64 = EllMatrix::from_coo(&a64);
-            let bro64: BroEll<f64> = BroEll::from_coo(&a64, &BroEllConfig::default());
-            let x64 = ctx.input_vector(a64.cols());
-            let r_ell = run_kernel(&dev, flops, 8, |s| {
-                ell_spmv(s, &ell64, &x64);
-            });
-            let r_bro = run_kernel(&dev, flops, 8, |s| {
-                bro_ell_spmv(s, &bro64, &x64);
-            });
-            t.row(vec![
-                name.into(),
-                dev.name.into(),
-                "f64".into(),
-                f(r_ell.gflops, 2),
-                f(r_bro.gflops, 2),
-                f(r_bro.gflops / r_ell.gflops, 2),
-            ]);
-            // Single precision.
-            let ell32 = EllMatrix::from_coo(&a32);
-            let bro32: BroEll<f32> = BroEll::from_coo(&a32, &BroEllConfig::default());
-            let x32: Vec<f32> = x64.iter().map(|&v| v as f32).collect();
-            let r_ell = run_kernel(&dev, flops, 4, |s| {
-                ell_spmv(s, &ell32, &x32);
-            });
-            let r_bro = run_kernel(&dev, flops, 4, |s| {
-                bro_ell_spmv(s, &bro32, &x32);
-            });
-            t.row(vec![
-                name.into(),
-                dev.name.into(),
-                "f32".into(),
-                f(r_ell.gflops, 2),
-                f(r_bro.gflops, 2),
-                f(r_bro.gflops / r_ell.gflops, 2),
-            ]);
+        let x64 = ctx.input_vector(a64.cols());
+        let x32: Vec<f32> = x64.iter().map(|&v| v as f32).collect();
+        for dev in &ctx.devices {
+            let runs = [("f64", gflops(dev, &a64, &x64)), ("f32", gflops(dev, &a32, &x32))];
+            for (prec, (ell, bro)) in runs {
+                t.row(vec![
+                    name.into(),
+                    dev.name.into(),
+                    prec.into(),
+                    f(ell, 2),
+                    f(bro, 2),
+                    f(bro / ell, 2),
+                ]);
+            }
         }
     }
     ctx.emit("precision", "Extension: single vs double precision BRO-ELL", &t);

@@ -35,7 +35,9 @@ fn per_device_range(report: &ClusterReport) -> String {
     format!("{:.2}..{:.2}", lo, hi)
 }
 
-/// Runs the strong- and weak-scaling sweeps.
+/// Runs the strong- and weak-scaling sweeps. `ClusterSpmv` runs directly:
+/// the distributed kernel is not in the single-device registry, and each
+/// sweep sets the cluster size.
 pub fn run(ctx: &mut ExpContext) {
     let device = DeviceProfile::tesla_k20();
 
@@ -52,10 +54,7 @@ pub fn run(ctx: &mut ExpContext) {
         "idx raw KB",
         "idx BRO KB",
     ]);
-    for name in MATRICES {
-        if !ctx.selected(name) {
-            continue;
-        }
+    for name in ctx.select(MATRICES) {
         let a = CsrMatrix::from_coo(ctx.matrix(name));
         let x = ctx.input_vector(a.cols());
         let mut base_gflops = 0.0;
@@ -87,10 +86,7 @@ pub fn run(ctx: &mut ExpContext) {
 
     // Weak scaling: problem grows with the cluster.
     let mut weak = TextTable::new(&["Matrix", "devs", "scale", "nnz", "GF/s", "efficiency"]);
-    for name in MATRICES {
-        if !ctx.selected(name) {
-            continue;
-        }
+    for name in ctx.select(MATRICES) {
         let entry = suite::by_name(name).expect("scaling matrix is in the suite");
         let mut base_gflops = 0.0;
         for n in SIZES {

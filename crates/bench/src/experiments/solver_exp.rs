@@ -7,14 +7,12 @@
 //! wall time, simulated per-iteration device time for ELLPACK vs BRO-ELL,
 //! and the break-even iteration count.
 
-use bro_core::{BroEll, BroEllConfig};
 use bro_gpu_sim::DeviceProfile;
-use bro_kernels::{bro_ell_spmv, ell_spmv};
-use bro_matrix::{generate::laplacian_2d, CsrMatrix, EllMatrix};
+use bro_matrix::{generate::laplacian_2d, CsrMatrix};
 use bro_solvers::{cg, CgOptions};
 
 use crate::context::ExpContext;
-use crate::experiments::run_kernel;
+use crate::experiments::{build, run_kernel};
 use crate::table::{f, TextTable};
 
 /// Runs the economics analysis on a Poisson problem sized by scale.
@@ -25,19 +23,14 @@ pub fn run(ctx: &mut ExpContext) {
     let x = ctx.input_vector(a.cols());
     let flops = 2 * a.nnz() as u64;
 
-    // One-time compression cost (host wall time, measured).
-    let ell = EllMatrix::from_coo(&a);
+    // One-time compression cost (host wall time of the registry build).
+    let ell = build("ell", &a);
     let t0 = std::time::Instant::now();
-    let bro: BroEll<f64> = BroEll::from_coo(&a, &BroEllConfig::default());
+    let bro = build("bro-ell", &a);
     let compress_s = t0.elapsed().as_secs_f64();
 
     // Per-iteration simulated device times.
-    let r_ell = run_kernel(&dev, flops, 8, |s| {
-        ell_spmv(s, &ell, &x);
-    });
-    let r_bro = run_kernel(&dev, flops, 8, |s| {
-        bro_ell_spmv(s, &bro, &x);
-    });
+    let [r_ell, r_bro] = [ell, bro].map(|p| run_kernel(&dev, flops, 8, |s| p.run(s, &x)));
     let saved_per_iter = r_ell.time_s - r_bro.time_s;
 
     // How many iterations does CG actually need here?

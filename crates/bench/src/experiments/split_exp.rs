@@ -27,10 +27,7 @@ fn quantile_len(lengths: &mut [u32], q: f64) -> usize {
 pub fn run(ctx: &mut ExpContext) {
     let dev = DeviceProfile::tesla_k20();
     let mut t = TextTable::new(&["Matrix", "split k", "source", "%ELL", "eta", "GFLOP/s"]);
-    for name in ["twotone", "gupta2", "scircuit"] {
-        if !ctx.selected(name) {
-            continue;
-        }
+    for name in ctx.select(["twotone", "gupta2", "scircuit"]) {
         let a = ctx.matrix(name).clone();
         let x = ctx.input_vector(a.cols());
         let flops = 2 * a.nnz() as u64;
@@ -47,11 +44,10 @@ pub fn run(ctx: &mut ExpContext) {
         candidates.sort_by_key(|&(k, _)| k);
 
         for (k, source) in candidates {
+            // Built directly: the registry's BRO-HYB always splits at HYB's width.
             let bro: BroHyb<f64> =
                 BroHyb::from_coo(&a, &BroHybConfig { split_k: Some(k), ..Default::default() });
-            let r = run_kernel(&dev, flops, 8, |s| {
-                bro_hyb_spmv(s, &bro, &x);
-            });
+            let r = run_kernel(&dev, flops, 8, |s| bro_hyb_spmv(s, &bro, &x));
             t.row(vec![
                 name.to_string(),
                 k.to_string(),

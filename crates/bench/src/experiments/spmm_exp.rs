@@ -19,6 +19,7 @@ pub fn run(ctx: &mut ExpContext) {
     let dev = DeviceProfile::tesla_k20();
     let name = if ctx.selected("cant") { "cant" } else { "consph" };
     let a = ctx.matrix(name).clone();
+    // Built directly: registry kernels multiply one vector, not a block of k.
     let ell = EllMatrix::from_coo(&a);
     let bro: BroEll<f64> = BroEll::from_coo(&a, &BroEllConfig::default());
 
@@ -28,12 +29,8 @@ pub fn run(ctx: &mut ExpContext) {
             .map(|v| (0..a.cols()).map(|i| 1.0 + ((i * (v + 2)) % 13) as f64 * 0.1).collect())
             .collect();
         let flops = 2 * a.nnz() as u64 * k as u64;
-        let r_ell = run_kernel(&dev, flops, 8, |s| {
-            ell_spmm(s, &ell, &xs);
-        });
-        let r_bro = run_kernel(&dev, flops, 8, |s| {
-            bro_ell_spmm(s, &bro, &xs);
-        });
+        let r_ell = run_kernel(&dev, flops, 8, |s| ell_spmm(s, &ell, &xs));
+        let r_bro = run_kernel(&dev, flops, 8, |s| bro_ell_spmm(s, &bro, &xs));
         t.row(vec![
             k.to_string(),
             f(r_ell.gflops, 2),

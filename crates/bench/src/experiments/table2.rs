@@ -18,10 +18,7 @@ pub fn run(ctx: &mut ExpContext) {
         "sigma (paper)",
         "sigma (gen)",
     ]);
-    for entry in suite::full_suite() {
-        if !ctx.selected(entry.name) {
-            continue;
-        }
+    for entry in ctx.select(suite::full_suite()) {
         let m = ctx.matrix(entry.name);
         let s = m.stats();
         t.row(vec![

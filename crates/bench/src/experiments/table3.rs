@@ -29,10 +29,7 @@ pub const PAPER_ETA: [(&str, f64); 16] = [
 /// Computes η for every Test Set 1 matrix.
 pub fn run(ctx: &mut ExpContext) {
     let mut t = TextTable::new(&["Matrix", "eta (paper)", "eta (measured)", "kappa"]);
-    for entry in suite::test_set_1() {
-        if !ctx.selected(entry.name) {
-            continue;
-        }
+    for entry in ctx.select(suite::test_set_1()) {
         let coo = ctx.matrix(entry.name);
         let bro: BroEll<f64> = BroEll::from_coo(coo, &BroEllConfig::default());
         let s = bro.space_savings();

@@ -34,10 +34,7 @@ pub fn run(ctx: &mut ExpContext) {
         "eta (paper)",
         "eta (measured)",
     ]);
-    for entry in suite::test_set_2() {
-        if !ctx.selected(entry.name) {
-            continue;
-        }
+    for entry in ctx.select(suite::test_set_2()) {
         let coo = ctx.matrix(entry.name);
         let bro: BroHyb<f64> = BroHyb::from_coo(coo, &BroHybConfig::default());
         let paper = PAPER.iter().find(|(n, _, _)| *n == entry.name);

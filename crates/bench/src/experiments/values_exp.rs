@@ -28,10 +28,7 @@ pub fn run(ctx: &mut ExpContext) {
     // Stencil workloads with repeating coefficients.
     let lap = laplacian_2d::<f64>(((300.0 * ctx.scale.sqrt()) as usize).max(32));
     report_row("laplace2d (stencil)", &lap, &mut t);
-    for entry in suite::test_set_1() {
-        if !ctx.selected(entry.name) {
-            continue;
-        }
+    for entry in ctx.select(suite::test_set_1()) {
         let coo = ctx.matrix(entry.name).clone();
         report_row(entry.name, &coo, &mut t);
     }

@@ -1,8 +1,8 @@
 //! # bro-bench
 //!
-//! The reproduction harness: one experiment module per table/figure of the
-//! paper, all driven by the `repro` binary (`cargo run --release -p
-//! bro-bench --bin repro -- <experiment>`).
+//! The reproduction harness: one experiment per table/figure of the paper,
+//! listed in [`experiments::EXPERIMENTS`] and driven by the `repro` binary
+//! (`cargo run --release -p bro-bench --bin repro -- <experiment>`).
 //!
 //! Experiments run at a configurable `--scale` (default 0.1): matrices keep
 //! their published row-length statistics and structure class but shrink

@@ -18,16 +18,6 @@ impl TextTable {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders with aligned columns.
     pub fn render(&self) -> String {
         let ncols = self.header.len().max(self.rows.iter().map(|r| r.len()).max().unwrap_or(0));

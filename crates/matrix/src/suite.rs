@@ -96,6 +96,13 @@ pub struct SuiteEntry {
     pub class: StructureClass,
 }
 
+/// An entry reads as its matrix name (e.g. to filter a set by name).
+impl AsRef<str> for SuiteEntry {
+    fn as_ref(&self) -> &str {
+        self.name
+    }
+}
+
 impl SuiteEntry {
     /// Derives a generator spec at the given scale (`1.0` = paper size).
     /// Scaling shrinks rows and columns while preserving μ, σ and the

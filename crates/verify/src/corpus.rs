@@ -20,7 +20,7 @@
 //! byte-stable and parse back to bit-identical `f64`s.
 
 use std::io::{BufRead, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use bro_matrix::CooMatrix;
 
@@ -188,6 +188,12 @@ impl CorpusCase {
     }
 }
 
+/// The committed regression corpus: `tests/corpus` at the repository root
+/// (resolved relative to this crate, so it works from any working directory).
+pub fn corpus_dir() -> PathBuf {
+    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus"))
+}
+
 /// Loads every `*.corpus` file in a directory, sorted by file name for
 /// deterministic replay order. A missing directory is an empty corpus.
 pub fn load_dir(dir: &Path) -> Result<Vec<(String, CorpusCase)>, CorpusError> {
@@ -322,8 +328,7 @@ mod tests {
     #[test]
     fn mutated_corpus_files_read_to_err_or_replay_clean() {
         use rand::{Rng, SeedableRng};
-        let dir = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus"));
-        let mut files: Vec<_> = std::fs::read_dir(dir)
+        let mut files: Vec<_> = std::fs::read_dir(corpus_dir())
             .unwrap()
             .map(|e| e.unwrap().path())
             .filter(|p| p.extension().is_some_and(|e| e == "corpus"))

@@ -17,9 +17,11 @@
 //!    (address bounds, coalescing sanity), active whenever any test in the
 //!    workspace drives the simulator.
 //!
-//! The `bro_tool verify` subcommand and the CI `verify` job drive all of
-//! this from one entry point; `tests/harness.rs` exercises the pillars
-//! end-to-end (including proving that an injected fault is caught).
+//! [`gate()`] runs the fuzzer, the corpus replay, the golden check and the
+//! thread-determinism sweep in one pass; `bro_tool verify` (and the CI
+//! `verify` job) and `repro verify` both report it. `tests/harness.rs`
+//! exercises the pillars end-to-end (including proving that an injected
+//! fault is caught).
 
 #![warn(missing_docs)]
 
@@ -27,6 +29,7 @@ pub mod corpus;
 pub mod determinism;
 pub mod differential;
 pub mod formats;
+pub mod gate;
 pub mod generators;
 pub mod golden;
 pub mod shrink;
@@ -34,12 +37,13 @@ pub mod tolerance;
 pub mod trace_check;
 
 pub use bro_gpu_sim::Json;
-pub use corpus::{load_dir, CorpusCase, CorpusError};
+pub use corpus::{corpus_dir, load_dir, CorpusCase, CorpusError};
 pub use determinism::DeterminismReport;
 pub use differential::{
     fuzz, replay, run_case, Failure, FaultKind, FaultSpec, FuzzConfig, FuzzReport,
 };
 pub use formats::{kernel, kernels};
+pub use gate::{gate, CorpusReplay, GateReport};
 pub use generators::{input_vector, Family};
 pub use golden::{golden_dir, update_requested, GoldenOutcome};
 pub use shrink::{shrink, Shrunk};

@@ -382,9 +382,9 @@ fn cmd_suite() {
 
 fn cmd_verify(a: &Args) {
     let t0 = std::time::Instant::now();
-    let mut failed = false;
     println!("verify: {} worker thread(s)", effective_threads());
 
+    // The gate runs all four checks; each is reported below in order.
     // 1. Differential fuzzing: every format vs the CSR reference. The base
     // seed is printed so any CI run can be replayed locally verbatim.
     let config =
@@ -400,12 +400,11 @@ fn cmd_verify(a: &Args) {
             None => String::new(),
         }
     );
-    let report = verify::fuzz(&config);
-    match report.failure {
-        None => println!("differential: all {} cases passed", report.cases_run),
+    let report = verify::gate(&config, verify::update_requested());
+    match &report.fuzz.failure {
+        None => println!("differential: all {} cases passed", report.fuzz.cases_run),
         Some(failure) => {
-            failed = true;
-            eprintln!("differential FAILURE after {} cases: {failure}", report.cases_run);
+            eprintln!("differential FAILURE after {} cases: {failure}", report.fuzz.cases_run);
             let path = a.out_dir.join("verify_failure.corpus");
             match failure.to_corpus().save(&path) {
                 Ok(()) => eprintln!("shrunk reproducer written to {}", path.display()),
@@ -415,29 +414,18 @@ fn cmd_verify(a: &Args) {
     }
 
     // 2. Regression corpus replay.
-    let corpus_dir = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus"));
-    match verify::load_dir(corpus_dir) {
-        Ok(cases) => {
-            let mut bad = 0;
-            for (name, case) in &cases {
-                if let Some((format, mismatch)) =
-                    verify::replay(case, verify::kernels(), &verify::Tolerance::default())
-                {
-                    failed = true;
-                    bad += 1;
-                    eprintln!("corpus FAILURE: {name}: format '{format}': {mismatch}");
-                }
+    match &report.corpus {
+        Ok(replay) => {
+            for failure in &replay.failures {
+                eprintln!("corpus FAILURE: {failure}");
             }
-            println!("corpus: {} cases replayed, {bad} failed", cases.len());
+            println!("corpus: {} cases replayed, {} failed", replay.cases, replay.failures.len());
         }
-        Err(e) => {
-            failed = true;
-            eprintln!("corpus: {e}");
-        }
+        Err(e) => eprintln!("corpus: {e}"),
     }
 
     // 3. Golden perf-model conformance.
-    match verify::golden::run(verify::update_requested()) {
+    match &report.golden {
         Ok(outcome) if outcome.updated => {
             println!(
                 "golden: rewrote {} snapshot files in {}",
@@ -449,7 +437,6 @@ fn cmd_verify(a: &Args) {
             println!("golden: {} snapshot files conformant", outcome.files.len());
         }
         Ok(outcome) => {
-            failed = true;
             eprintln!("golden: {} field diffs:", outcome.diffs.len());
             for d in &outcome.diffs {
                 eprintln!("  {d}");
@@ -461,24 +448,19 @@ fn cmd_verify(a: &Args) {
                 Err(e) => eprintln!("could not write stats diff: {e}"),
             }
         }
-        Err(e) => {
-            failed = true;
-            eprintln!("golden: io error: {e}");
-        }
+        Err(e) => eprintln!("golden: io error: {e}"),
     }
 
     // 4. Thread-count determinism: parallel execution must be bit-identical
     // to serial. Always compares at least 1 vs 2 workers, even under
     // `--threads 1` — the sweep scopes its own pools.
-    let counts = [1usize, effective_threads().max(2)];
-    let det = verify::determinism::run(&counts, a.seed);
+    let det = &report.determinism;
     if det.is_clean() {
         println!(
             "determinism: {} comparisons identical across {:?} worker threads (seed {})",
             det.checks, det.thread_counts, a.seed
         );
     } else {
-        failed = true;
         eprintln!(
             "determinism: {} of {} comparisons diverged (seed {}):",
             det.mismatches.len(),
@@ -491,7 +473,7 @@ fn cmd_verify(a: &Args) {
     }
 
     println!("verify finished in {:.1}s", t0.elapsed().as_secs_f64());
-    if failed {
+    if !report.passed() {
         std::process::exit(1);
     }
 }

@@ -106,10 +106,9 @@ proptest! {
 /// `bro_tool verify --inject-fault` land in the same directory.
 #[test]
 fn regression_corpus_replays_clean() {
-    use bro_spmv::verify::{kernels, load_dir, replay, Tolerance};
+    use bro_spmv::verify::{corpus_dir, kernels, load_dir, replay, Tolerance};
 
-    let dir = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus"));
-    let cases = load_dir(dir).expect("corpus directory must be readable");
+    let cases = load_dir(&corpus_dir()).expect("corpus directory must be readable");
     assert!(!cases.is_empty(), "the committed regression corpus must not be empty");
     let tol = Tolerance::default();
     for (name, case) in &cases {
