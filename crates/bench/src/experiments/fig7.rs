@@ -1,53 +1,28 @@
-//! Fig. 7: BRO-COO versus COO across all thirty matrices and all three
-//! devices. The paper's finding: gains exist but are smaller than
-//! BRO-ELL's, and shrink (sometimes below 1×) on the Kepler devices whose
-//! higher bandwidth and faster caches lift the COO baseline while the
-//! decode scan still costs compute.
+//! Fig. 7: BRO-COO versus COO, one [`Comparison`] run by [`compare`].
 
-use bro_core::{BroCoo, BroCooConfig};
-use bro_kernels::{bro_coo_spmv, coo_spmv};
 use bro_matrix::suite;
 
+use super::{compare, Comparison};
 use crate::context::ExpContext;
-use crate::experiments::{geomean, run_kernel};
-use crate::table::{f, TextTable};
 
-/// Runs the comparison over the full suite.
+/// Fig. 7: BRO-COO versus COO across all thirty matrices and all three
+/// devices. The paper's finding: gains exist but are smaller than
+/// BRO-ELL's, and shrink (sometimes below 1×) on the Kepler devices whose
+/// higher bandwidth and faster caches lift the COO baseline while the
+/// decode scan still costs compute.
+pub const FIG7: Comparison = Comparison {
+    id: "fig7",
+    title: "Fig. 7: BRO-COO vs COO (all matrices)",
+    avg_title: "Fig. 7 summary: average BRO-COO speedup per device",
+    set: suite::full_suite,
+    kernels: &["coo", "bro-coo"],
+    header: &["Matrix", "Device", "COO GF/s", "BRO-COO GF/s", "speedup"],
+    avg_header: &["Device", "avg speedup"],
+};
+
+/// Runs Fig. 7.
 pub fn run(ctx: &mut ExpContext) {
-    let mut t = TextTable::new(&["Matrix", "Device", "COO GF/s", "BRO-COO GF/s", "speedup"]);
-    let mut per_device: Vec<Vec<f64>> = vec![Vec::new(); ctx.devices.len()];
-    for entry in suite::full_suite() {
-        if !ctx.selected(entry.name) {
-            continue;
-        }
-        let coo = ctx.matrix(entry.name).clone();
-        let bro: BroCoo<f64> = BroCoo::compress(&coo, &BroCooConfig::default());
-        let x = ctx.input_vector(coo.cols());
-        let flops = 2 * coo.nnz() as u64;
-        for (d, dev) in ctx.devices.clone().iter().enumerate() {
-            let r_coo = run_kernel(dev, flops, 8, |s| {
-                coo_spmv(s, &coo, &x);
-            });
-            let r_bro = run_kernel(dev, flops, 8, |s| {
-                bro_coo_spmv(s, &bro, &x);
-            });
-            per_device[d].push(r_bro.gflops / r_coo.gflops);
-            t.row(vec![
-                entry.name.to_string(),
-                dev.name.to_string(),
-                f(r_coo.gflops, 2),
-                f(r_bro.gflops, 2),
-                f(r_bro.gflops / r_coo.gflops, 2),
-            ]);
-        }
-    }
-    ctx.emit("fig7", "Fig. 7: BRO-COO vs COO (all matrices)", &t);
-
-    let mut avg = TextTable::new(&["Device", "avg speedup"]);
-    for (d, dev) in ctx.devices.iter().enumerate() {
-        avg.row(vec![dev.name.to_string(), f(geomean(&per_device[d]), 2)]);
-    }
-    ctx.emit("fig7_avg", "Fig. 7 summary: average BRO-COO speedup per device", &avg);
+    compare(ctx, &FIG7);
 }
 
 #[cfg(test)]

@@ -1,57 +1,28 @@
-//! Fig. 8: BRO-HYB versus HYB on Test Set 2. The paper plots the Tesla K20
-//! ("results for C2070 and GTX680 are similar") and reports average
-//! speedups of 1.6×/1.3×/1.4× on C2070/GTX680/K20; this harness prints all
-//! three devices plus the per-device averages.
+//! Fig. 8: BRO-HYB versus HYB, one [`Comparison`] run by [`compare`].
 
-use bro_core::{BroHyb, BroHybConfig};
-use bro_kernels::{bro_hyb_spmv, hyb_spmv};
-use bro_matrix::{suite, HybMatrix};
+use bro_matrix::suite;
 
+use super::{compare, Comparison};
 use crate::context::ExpContext;
-use crate::experiments::{geomean, run_kernel};
-use crate::table::{f, TextTable};
 
-/// Runs the Test Set 2 comparison.
+/// Fig. 8: BRO-HYB versus HYB on Test Set 2, both split at HYB's width (an
+/// identical partition, as in the paper). The paper plots the Tesla K20
+/// ("results for C2070 and GTX680 are similar") and reports average
+/// speedups of 1.6×/1.3×/1.4× on C2070/GTX680/K20; this harness prints all
+/// three devices plus the per-device averages.
+pub const FIG8: Comparison = Comparison {
+    id: "fig8",
+    title: "Fig. 8: BRO-HYB vs HYB (Test Set 2)",
+    avg_title: "Fig. 8 summary: average BRO-HYB speedup per device",
+    set: suite::test_set_2,
+    kernels: &["hyb", "bro-hyb"],
+    header: &["Matrix", "Device", "HYB GF/s", "BRO-HYB GF/s", "speedup"],
+    avg_header: &["Device", "avg speedup"],
+};
+
+/// Runs Fig. 8.
 pub fn run(ctx: &mut ExpContext) {
-    let mut t = TextTable::new(&["Matrix", "Device", "HYB GF/s", "BRO-HYB GF/s", "speedup"]);
-    let mut per_device: Vec<Vec<f64>> = vec![Vec::new(); ctx.devices.len()];
-    for entry in suite::test_set_2() {
-        if !ctx.selected(entry.name) {
-            continue;
-        }
-        let coo = ctx.matrix(entry.name).clone();
-        let hyb = HybMatrix::from_coo(&coo);
-        // Identical partition for fairness, as in the paper.
-        let bro: BroHyb<f64> = BroHyb::from_coo(
-            &coo,
-            &BroHybConfig { split_k: Some(hyb.split_k()), ..Default::default() },
-        );
-        let x = ctx.input_vector(coo.cols());
-        let flops = 2 * coo.nnz() as u64;
-        for (d, dev) in ctx.devices.clone().iter().enumerate() {
-            let r_hyb = run_kernel(dev, flops, 8, |s| {
-                hyb_spmv(s, &hyb, &x);
-            });
-            let r_bro = run_kernel(dev, flops, 8, |s| {
-                bro_hyb_spmv(s, &bro, &x);
-            });
-            per_device[d].push(r_bro.gflops / r_hyb.gflops);
-            t.row(vec![
-                entry.name.to_string(),
-                dev.name.to_string(),
-                f(r_hyb.gflops, 2),
-                f(r_bro.gflops, 2),
-                f(r_bro.gflops / r_hyb.gflops, 2),
-            ]);
-        }
-    }
-    ctx.emit("fig8", "Fig. 8: BRO-HYB vs HYB (Test Set 2)", &t);
-
-    let mut avg = TextTable::new(&["Device", "avg speedup"]);
-    for (d, dev) in ctx.devices.iter().enumerate() {
-        avg.row(vec![dev.name.to_string(), f(geomean(&per_device[d]), 2)]);
-    }
-    ctx.emit("fig8_avg", "Fig. 8 summary: average BRO-HYB speedup per device", &avg);
+    compare(ctx, &FIG8);
 }
 
 #[cfg(test)]

@@ -1,13 +1,17 @@
 //! One module per table/figure of the paper (see DESIGN.md's experiment
 //! index), plus the extension experiments. [`EXPERIMENTS`] lists them all;
 //! the paper's pairwise format comparisons (Fig. 4, 7 and 8) are three
-//! [`Comparison`]s run by [`compare`].
+//! [`Comparison`]s (`fig4::FIG4`, `fig7::FIG7`, `fig8::FIG8`) run by
+//! [`compare`].
 
 pub mod ablate;
 pub mod divergence;
 pub mod fig3;
+pub mod fig4;
 pub mod fig5;
 pub mod fig6;
+pub mod fig7;
+pub mod fig8;
 pub mod formats;
 pub mod multirow_exp;
 pub mod precision;
@@ -25,7 +29,7 @@ pub mod verify_exp;
 
 use bro_gpu_sim::{DeviceProfile, DeviceSim, KernelReport};
 use bro_kernels::{registry, PreparedSpmv};
-use bro_matrix::suite::{self, SuiteEntry};
+use bro_matrix::suite::SuiteEntry;
 use bro_matrix::CooMatrix;
 
 use crate::context::ExpContext;
@@ -53,12 +57,12 @@ pub static EXPERIMENTS: [Experiment; 23] = [
     exp("table2", "benchmark matrix suite (Table 2)", table2::run),
     exp("fig3", "BRO-ELL GFLOP/s vs space savings sweep (Fig. 3)", fig3::run),
     exp("table3", "BRO-ELL space savings (Table 3)", table3::run),
-    exp("fig4", "BRO-ELL vs ELLPACK / ELLPACK-R (Fig. 4)", |c| compare(c, &FIG4)),
+    exp("fig4", "BRO-ELL vs ELLPACK / ELLPACK-R (Fig. 4)", fig4::run),
     exp("fig5", "effective arithmetic intensity (Fig. 5)", fig5::run),
     exp("fig6", "bandwidth utilization, first six matrices (Fig. 6)", fig6::run),
-    exp("fig7", "BRO-COO vs COO (Fig. 7)", |c| compare(c, &FIG7)),
+    exp("fig7", "BRO-COO vs COO (Fig. 7)", fig7::run),
     exp("table4", "BRO-HYB partitioning and savings (Table 4)", table4::run),
-    exp("fig8", "BRO-HYB vs HYB (Fig. 8)", |c| compare(c, &FIG8)),
+    exp("fig8", "BRO-HYB vs HYB (Fig. 8)", fig8::run),
     exp("fig9", "BAR vs RCM vs AMD reordering (Fig. 9 + averages, Table 5)", |c| {
         reorder_exp::run(c, false)
     }),
@@ -108,49 +112,6 @@ pub struct Comparison {
     /// Device, one average speedup column per baseline.
     pub avg_header: &'static [&'static str],
 }
-
-/// Fig. 4: BRO-ELL versus ELLPACK and ELLPACK-R across Test Set 1 on all
-/// three devices, with per-device average speedups (the paper reports
-/// 1.5×/1.6×/1.4× over ELLPACK and +13% over ELLPACK-R on average).
-pub const FIG4: Comparison = Comparison {
-    id: "fig4",
-    title: "Fig. 4: BRO-ELL vs ELLPACK vs ELLPACK-R (Test Set 1)",
-    avg_title: "Fig. 4 summary: average speedups",
-    set: suite::test_set_1,
-    kernels: &["ell", "ellr", "bro-ell"],
-    header: &["Matrix", "Device", "ELL GF/s", "ELL-R GF/s", "BRO-ELL GF/s", "vs ELL", "vs ELL-R"],
-    avg_header: &["Device", "avg speedup vs ELL", "avg speedup vs ELL-R"],
-};
-
-/// Fig. 7: BRO-COO versus COO across all thirty matrices and all three
-/// devices. The paper's finding: gains exist but are smaller than
-/// BRO-ELL's, and shrink (sometimes below 1×) on the Kepler devices whose
-/// higher bandwidth and faster caches lift the COO baseline while the
-/// decode scan still costs compute.
-pub const FIG7: Comparison = Comparison {
-    id: "fig7",
-    title: "Fig. 7: BRO-COO vs COO (all matrices)",
-    avg_title: "Fig. 7 summary: average BRO-COO speedup per device",
-    set: suite::full_suite,
-    kernels: &["coo", "bro-coo"],
-    header: &["Matrix", "Device", "COO GF/s", "BRO-COO GF/s", "speedup"],
-    avg_header: &["Device", "avg speedup"],
-};
-
-/// Fig. 8: BRO-HYB versus HYB on Test Set 2, both split at HYB's width (an
-/// identical partition, as in the paper). The paper plots the Tesla K20
-/// ("results for C2070 and GTX680 are similar") and reports average
-/// speedups of 1.6×/1.3×/1.4× on C2070/GTX680/K20; this harness prints all
-/// three devices plus the per-device averages.
-pub const FIG8: Comparison = Comparison {
-    id: "fig8",
-    title: "Fig. 8: BRO-HYB vs HYB (Test Set 2)",
-    avg_title: "Fig. 8 summary: average BRO-HYB speedup per device",
-    set: suite::test_set_2,
-    kernels: &["hyb", "bro-hyb"],
-    header: &["Matrix", "Device", "HYB GF/s", "BRO-HYB GF/s", "speedup"],
-    avg_header: &["Device", "avg speedup"],
-};
 
 /// Runs a [`Comparison`]: builds its kernels once per selected matrix, runs
 /// each on every device, and emits the per-(matrix, device) table and the
@@ -255,18 +216,8 @@ mod tests {
     }
 
     #[test]
-    fn comparisons_run_one_matrix() {
-        for (name, matrix) in [("fig4", "epb3"), ("fig7", "scircuit"), ("fig8", "sme3Da")] {
-            let mut ctx = ExpContext::new(0.02);
-            ctx.devices.truncate(1);
-            ctx.matrix_filter = Some(matrix.into());
-            (by_name(name).unwrap().run)(&mut ctx);
-        }
-    }
-
-    #[test]
     fn comparison_headers_match_their_kernels() {
-        for c in [&FIG4, &FIG7, &FIG8] {
+        for c in [&fig4::FIG4, &fig7::FIG7, &fig8::FIG8] {
             let baselines = c.kernels.len() - 1;
             assert_eq!(c.header.len(), 2 + c.kernels.len() + baselines, "{}", c.id);
             assert_eq!(c.avg_header.len(), 1 + baselines, "{}", c.id);
